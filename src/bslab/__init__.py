@@ -4,144 +4,17 @@ Exact stationary solves on small graphs, batched Monte Carlo, stick and
 block coupling statistics, oriented percolation on a strip, closed-form
 bounds with their validity windows, and exhaustive drift certificates,
 all behind one deterministic seeding scheme.
+
+The package namespace carries the names of the README's library
+example; everything else lives in the submodules (bslab.graphs,
+bslab.dynamics, bslab.exact, bslab.montecarlo, bslab.blocks,
+bslab.percolation, bslab.bounds, bslab.drift, bslab.rng).
 """
-from .bounds import (
-    BoundReport,
-    DriftBounds,
-    FORMULAS,
-    block2_asymptote,
-    block2_nice_lb,
-    choose_h,
-    cond_h_upper,
-    domination_density,
-    drift_bounds,
-    evaluate_formula,
-    h_window,
-    hat_L,
-    q0,
-    q0_d2_closed_form,
-    q0_highprec,
-    q0_simple,
-    stick_good_lb,
-    theta_4block,
-    theta_4block_highprec,
-    theta_asymptote,
-    tilde_L,
-    T1,
-    T2,
-)
-from .blocks import (
-    Block2,
-    Block4,
-    BlockGrid,
-    BlockStats,
-    IndependenceReport,
-    PropagationResult,
-    Stick,
-    block2_is_nice,
-    block2_proposition_check,
-    block4_independence_check,
-    block4_is_nice,
-    block4_propagation_check,
-    block_stats_rows,
-    blocks_separated,
-    chain_to_percolation,
-    ring_count,
-    sample_block2_stats,
-    sample_block4_stats,
-    sample_stick_stats,
-    stick_is_good,
-)
-from .drift import (
-    DriftReport,
-    ScanReport,
-    TypedCensus,
-    classify_zeros,
-    exact_drift,
-    increment_bound,
-    lyapunov_f,
-    scan_rows,
-    verify_all_bounds,
-)
-from .dynamics import (
-    GraphicalConstruction,
-    ModelParams,
-    ReplayResult,
-    SimulationResult,
-    all_ones,
-    all_zeros,
-    classical_fitness_samples,
-    classical_step,
-    event_log_rows,
-    format_configuration,
-    parse_configuration,
-    random_configuration,
-    replay,
-    sample_graphical,
-    sample_graphical_batch,
-    simulate_continuous,
-    step_discrete,
-)
-from .exact import (
-    Marginals,
-    TransitionModel,
-    balance_residual,
-    build_kernel,
-    escape_entry_check,
-    marginals,
-    stationary,
-    stationary_rows,
-    tail_geometric_fit,
-    transition_matrix_t,
-)
-from .graphs import (
-    BudgetExceeded,
-    ChainCover,
-    ChainPath,
-    Graph,
-    build_graph,
-    chain_cover,
-    chain_defect,
-    closed_neighbourhood,
-    format_edge_list,
-    generate,
-    is_chain,
-    load_edge_list,
-    longest_chain,
-    parse_edge_list,
-    parse_graph_spec,
-    shortest_path,
-)
-from .montecarlo import (
-    BatchData,
-    Estimate,
-    TailFit,
-    estimate_from_samples,
-    expected_zeros_from_batches,
-    marginal_from_batches,
-    mc_marginal_one,
-    mc_proportion_tail,
-    mc_zeros_tail,
-    proportion_tail_from_batches,
-    run_batches,
-    tail_fit_from_batches,
-    zeros_tail_from_batches,
-)
-from .percolation import (
-    ContourReport,
-    LevelSet,
-    StripField,
-    contour_bounds,
-    evolve,
-    is_h_good,
-    level_size,
-    prob_connect,
-    prob_connect_theta_sweep,
-    prob_good_level,
-    sample_strip,
-    side_condition_ok,
-    sites_at_level,
-)
-from .rng import substream
+from .bounds import block2_nice_lb, choose_h, hat_L, q0, theta_4block, tilde_L
+from .drift import verify_all_bounds
+from .dynamics import ModelParams
+from .exact import build_kernel, marginals, stationary
+from .graphs import generate
+from .montecarlo import marginal_from_batches, run_batches
 
 __version__ = "0.1.0"

@@ -277,11 +277,11 @@ def block2_proposition_check(
     return _propagation(g, gc, block.window, (block.x, block.y), nice, config_bottom)
 
 
-def _has_increasing_rings(gc: GraphicalConstruction, order, t0: float, t1: float) -> bool:
-    """Greedy search for one ring per site at strictly increasing times."""
+def _has_increasing_rings(rows, t0: float, t1: float) -> bool:
+    """Greedy search for one ring per sorted time row, in row order, at
+    strictly increasing times inside (t0, t1]."""
     t = t0
-    for x in order:
-        ts = gc.times[x]
+    for ts in rows:
         i = int(np.searchsorted(ts, t, side="right"))
         if i >= len(ts) or ts[i] > t1:
             return False
@@ -304,10 +304,9 @@ def block4_is_nice(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
     for v in block.sites:
         if ring_count(gc, v, (t0, t1)) == 0:
             return False
-    if not _has_increasing_rings(gc, (a, b, c), t0, t1):
-        return False
-    if not _has_increasing_rings(gc, (e, c, b), t0, t1):
-        return False
+    for order in ((a, b, c), (e, c, b)):
+        if not _has_increasing_rings([gc.times[v] for v in order], t0, t1):
+            return False
     for w, A in required_goods_quad(g, block.sites).items():
         if not _good_in_window(g, gc, w, A, t0, t1):
             return False
@@ -381,22 +380,51 @@ class BlockStats:
 _SAMPLE_CHUNK = 1 << 16
 
 
-def _good_sticks_mask(
-    rng: np.random.Generator,
-    L: float,
-    p: float,
-    sizes: np.ndarray,
+def _direct_stats(
+    flavor: str,
+    g: Graph,
+    params: ModelParams,
+    sizes: list[int],
     ring_idx: tuple[int, ...],
-    m: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson counts and the per-sample count/goodness indicator."""
-    ks = rng.poisson(L, size=(m, len(sizes)))
-    ok = np.ones(m, dtype=bool)
-    for j in ring_idx:
-        ok &= ks[:, j] >= 1
-    bad = rng.binomial(ks * sizes[None, :], p) > 0
-    ok &= ~bad.any(axis=1)
-    return ks, ok
+    L: float,
+    n_samples: int,
+    seed: int,
+    analytic_lb: float,
+    orders: tuple[tuple[int, ...], ...] = (),
+) -> BlockStats:
+    """Sample niceness directly from ring counts and mark counts.
+
+    Stick j needs no one-mark on its `sizes[j]` goodness columns, the
+    sticks in `ring_idx` must ring, and for each order (positions into
+    `ring_idx`) those sticks must ring at increasing times.  Ring times
+    are drawn only for samples that pass the count and goodness filters.
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    rng = substream(seed, 41)
+    sizes_row = np.array(sizes)[None, :]
+    values = np.empty(n_samples, dtype=float)
+    done = 0
+    while done < n_samples:
+        m = min(_SAMPLE_CHUNK, n_samples - done)
+        ks = rng.poisson(L, size=(m, len(sizes)))
+        ok = (ks[:, list(ring_idx)] >= 1).all(axis=1)
+        ok &= ~(rng.binomial(ks * sizes_row, params.p) > 0).any(axis=1)
+        if orders:
+            for s in np.nonzero(ok)[0]:
+                times = [np.sort(L * (1.0 - rng.random(int(ks[s, j])))) for j in ring_idx]
+                ok[s] = all(_has_increasing_rings([times[i] for i in o], 0.0, L) for o in orders)
+        values[done : done + m] = ok
+        done += m
+    return BlockStats(
+        flavor=flavor,
+        p=params.p,
+        d=g.max_degree,
+        L=float(L),
+        n_samples=n_samples,
+        estimate=estimate_from_samples(values),
+        analytic_lb=analytic_lb,
+    )
 
 
 def sample_stick_stats(
@@ -410,37 +438,11 @@ def sample_stick_stats(
 ) -> BlockStats:
     """Frequency of A-goodness for one stick, against the closed form."""
     nbhd = set(closed_neighbourhood(g, base))
-    aset = sorted(set(int(v) for v in A))
-    if not set(aset) <= nbhd:
+    aset = set(int(v) for v in A)
+    if not aset <= nbhd:
         raise ValueError("A must sit inside the closed neighbourhood of the base")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = substream(seed, 41)
-    sizes = np.array([len(aset)])
-    hits = 0
-    done = 0
-    values = np.empty(n_samples, dtype=float)
-    while done < n_samples:
-        m = min(_SAMPLE_CHUNK, n_samples - done)
-        _, ok = _good_sticks_mask(rng, L, params.p, sizes, (), m)
-        values[done : done + m] = ok
-        hits += int(ok.sum())
-        done += m
-    return BlockStats(
-        flavor="stick",
-        p=params.p,
-        d=g.max_degree,
-        L=float(L),
-        n_samples=n_samples,
-        estimate=estimate_from_samples(values),
-        analytic_lb=stick_good_lb(L, params.q, len(aset)),
-    )
-
-
-def _req_arrays(req: dict[int, frozenset[int]]) -> tuple[list[int], np.ndarray]:
-    sticks = sorted(req)
-    sizes = np.array([len(req[v]) for v in sticks])
-    return sticks, sizes
+    lb = stick_good_lb(L, params.q, len(aset))
+    return _direct_stats("stick", g, params, [len(aset)], (), L, n_samples, seed, lb)
 
 
 def sample_block2_stats(
@@ -454,27 +456,12 @@ def sample_block2_stats(
 ) -> BlockStats:
     """Nice-rate of the pair block {x, y}, against the analytic bound."""
     _require_adjacent(g, x, y)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     req = required_goods_pair(g, x, y)
-    sticks, sizes = _req_arrays(req)
+    sticks = sorted(req)
     ring_idx = (sticks.index(x), sticks.index(y))
-    rng = substream(seed, 41)
-    values = np.empty(n_samples, dtype=float)
-    done = 0
-    while done < n_samples:
-        m = min(_SAMPLE_CHUNK, n_samples - done)
-        _, ok = _good_sticks_mask(rng, L, params.p, sizes, ring_idx, m)
-        values[done : done + m] = ok
-        done += m
-    return BlockStats(
-        flavor="two",
-        p=params.p,
-        d=g.max_degree,
-        L=float(L),
-        n_samples=n_samples,
-        estimate=estimate_from_samples(values),
-        analytic_lb=block2_nice_lb(L, params.p, g.max_degree),
+    lb = block2_nice_lb(L, params.p, g.max_degree)
+    return _direct_stats(
+        "two", g, params, [len(req[v]) for v in sticks], ring_idx, L, n_samples, seed, lb
     )
 
 
@@ -488,52 +475,18 @@ def sample_block4_stats(
     seed: int,
 ) -> BlockStats:
     """Nice-rate of a four-block, against the analytic bound."""
-    block = Block4(tuple(chain), k0, 0.0, L)
-    sites = block.sites
+    sites = Block4(tuple(chain), k0, 0.0, L).sites
     for u, v in ((sites[0], sites[1]), (sites[1], sites[2]), (sites[2], sites[3])):
         _require_adjacent(g, u, v)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     req = required_goods_quad(g, sites)
-    sticks, sizes = _req_arrays(req)
-    site_cols = [sticks.index(v) for v in sites]
-    ring_idx = tuple(site_cols)
-    fwd = (0, 1, 2)
-    bwd = (3, 2, 1)
-    rng = substream(seed, 41)
-    values = np.empty(n_samples, dtype=float)
-    done = 0
-    while done < n_samples:
-        m = min(_SAMPLE_CHUNK, n_samples - done)
-        ks, ok = _good_sticks_mask(rng, L, params.p, sizes, ring_idx, m)
-        for s in np.nonzero(ok)[0]:
-            times = [
-                np.sort(L * (1.0 - rng.random(int(ks[s, site_cols[j]]))))
-                for j in range(4)
-            ]
-            ok[s] = _greedy_orders(times, fwd) and _greedy_orders(times, bwd)
-        values[done : done + m] = ok
-        done += m
-    return BlockStats(
-        flavor="four",
-        p=params.p,
-        d=g.max_degree,
-        L=float(L),
-        n_samples=n_samples,
-        estimate=estimate_from_samples(values),
-        analytic_lb=theta_4block(L, params.p, g.max_degree),
+    sticks = sorted(req)
+    ring_idx = tuple(sticks.index(v) for v in sites)
+    lb = theta_4block(L, params.p, g.max_degree)
+    # ring order a->b->c and e->c->b, as positions into the four sites
+    orders = ((0, 1, 2), (3, 2, 1))
+    return _direct_stats(
+        "four", g, params, [len(req[v]) for v in sticks], ring_idx, L, n_samples, seed, lb, orders
     )
-
-
-def _greedy_orders(times: list[np.ndarray], order: tuple[int, ...]) -> bool:
-    t = 0.0
-    for j in order:
-        ts = times[j]
-        i = int(np.searchsorted(ts, t, side="right"))
-        if i >= len(ts):
-            return False
-        t = float(ts[i])
-    return True
 
 
 _INDEPENDENCE_PAIRS = ("same_level", "adjacent_level", "self")

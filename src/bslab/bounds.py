@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
+from types import MappingProxyType
+from typing import Callable
 
 __all__ = [
     "stick_good_lb",
@@ -34,6 +34,7 @@ __all__ = [
     "theta_4block_highprec",
     "q0_highprec",
     "BoundReport",
+    "Formula",
     "evaluate_formula",
     "FORMULAS",
 ]
@@ -80,9 +81,13 @@ def theta_4block(L: float, p: float, d: int) -> float:
     _check_pd(p, d)
     if L < 0:
         raise ValueError("L must be nonnegative")
-    q = 1.0 - p
-    coeff = 2.0 * q**3 / 3.0 + 4.0 * q * q / 3.0 + (4 * d - 6) * q - (4 * d - 2)
-    return math.exp(coeff * L) * math.expm1(L * q * q / 3.0) ** 2 * math.expm1(L * q**3 / 3.0) ** 4
+    return _theta_4block(L, 1.0 - p, d, math)
+
+
+def _theta_4block(L, q, d: int, num):
+    """theta_4block's formula over the exp/expm1 of `num` (math or mpmath)."""
+    coeff = 2 * q**3 / 3 + 4 * q * q / 3 + (4 * d - 6) * q - (4 * d - 2)
+    return num.exp(coeff * L) * num.expm1(L * q * q / 3) ** 2 * num.expm1(L * q**3 / 3) ** 4
 
 
 def tilde_L(p: float, d: int) -> float:
@@ -147,7 +152,8 @@ def h_window(q: float, d: int) -> tuple[float, float] | None:
     While the T2 denominator is positive the window is the displayed
     (T1, min(1, T2, 1/(q+d-dq))); when it turns negative the type-2
     condition h*den < 2-q(d+1) flips into a lower bound (or into no
-    constraint if 2-q(d+1) >= 0).
+    constraint if 2-q(d+1) >= 0).  Plain arithmetic only, so q0_highprec
+    can run it on mpmath numbers.
     """
     lo = max(T1(q, d), 0.0)
     hi = min(1.0, cond_h_upper(q, d))
@@ -244,42 +250,24 @@ def drift_bounds(q: float, d: int, h: float, frac_type2: float = 0.0) -> DriftBo
 def theta_4block_highprec(L: float, p: float, d: int, dps: int = 40) -> float:
     """theta_4block evaluated with mpmath at `dps` digits (128-bit class
     cross-check path)."""
+    import mpmath as mp  # slow to import; only the cross-check paths need it
+
     _check_pd(p, d)
     with mp.workdps(dps):
         q = mp.mpf(1) - mp.mpf(repr(p))
-        Lm = mp.mpf(repr(L))
-        coeff = 2 * q**3 / 3 + 4 * q**2 / 3 + (4 * d - 6) * q - (4 * d - 2)
-        val = mp.e ** (coeff * Lm) * (mp.expm1(Lm * q**2 / 3)) ** 2 * (mp.expm1(Lm * q**3 / 3)) ** 4
-        return float(val)
+        return float(_theta_4block(mp.mpf(repr(L)), q, d, mp))
 
 
 def q0_highprec(d: int, dps: int = 40) -> float:
-    """q0 bisection run with mpmath at `dps` digits."""
+    """q0 bisection on h_window itself, run on mpmath numbers at `dps` digits."""
+    import mpmath as mp  # slow to import; only the cross-check paths need it
+
     with mp.workdps(dps):
-
-        def window_empty(q: mp.mpf) -> bool:
-            t1 = (q * (d + 1) - 1) / (d * q**2 + q * (1 - (1 - q) ** d))
-            lo = max(t1, mp.mpf(0))
-            hi = min(mp.mpf(1), 1 / (q + d - d * q))
-            num = 2 - q * (d + 1)
-            den = 1 + d * (1 - q - q**2) + q * (1 - q) ** d
-            if den > 0:
-                hi = min(hi, num / den)
-            elif den == 0:
-                if num <= 0:
-                    return True
-            else:
-                if num < 0:
-                    lo = max(lo, num / den)
-                elif num == 0:
-                    return True
-            return not (lo < hi)
-
         lo = mp.mpf(1) / (d + 1) + mp.mpf("1e-9")
         hi = mp.mpf(1) - mp.mpf("1e-20")
         for _ in range(200):
             mid = (lo + hi) / 2
-            if window_empty(mid):
+            if h_window(mid, d) is None:
                 hi = mid
             else:
                 lo = mid
@@ -294,55 +282,44 @@ class BoundReport:
     flags: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class Formula:
+    """A named formula: its function, the input names it takes in call
+    order, and an optional validity flag raised when `flagged(value,
+    *args)` holds."""
+
+    fn: Callable[..., float]
+    inputs: tuple[str, ...]
+    flag: str | None = None
+    flagged: Callable[..., bool] | None = None
+
+
+FORMULAS = MappingProxyType({
+    "stick_good_lb": Formula(stick_good_lb, ("L", "q", "a")),
+    "block2_nice_lb": Formula(block2_nice_lb, ("L", "p", "d")),
+    "hat_L": Formula(hat_L, ("p", "d")),
+    "theta_4block": Formula(
+        theta_4block, ("L", "p", "d"), "outside_unit_interval", lambda v, L, p, d: not (0.0 <= v <= 1.0)
+    ),
+    "tilde_L": Formula(tilde_L, ("p", "d")),
+    "block2_asymptote": Formula(block2_asymptote, ("p", "d")),
+    "theta_asymptote": Formula(theta_asymptote, ("p", "d")),
+    "domination_density": Formula(
+        domination_density, ("p", "d"), "nonpositive_density", lambda v, p, d: v <= 0.0
+    ),
+    "T1": Formula(T1, ("q", "d")),
+    "T2": Formula(T2, ("q", "d"), "denominator_nonpositive", lambda v, q, d: _t2_den(q, d) <= 0.0),
+    "q0_simple": Formula(q0_simple, ("d",)),
+    "q0": Formula(q0, ("d",)),
+})
+
+
 def evaluate_formula(formula: str, **inputs) -> BoundReport:
-    """Evaluate a named formula into a report with validity flags."""
-    flags: list[str] = []
-    if formula == "stick_good_lb":
-        value = stick_good_lb(inputs["L"], inputs["q"], inputs["a"])
-    elif formula == "block2_nice_lb":
-        value = block2_nice_lb(inputs["L"], inputs["p"], inputs["d"])
-    elif formula == "hat_L":
-        value = hat_L(inputs["p"], inputs["d"])
-    elif formula == "theta_4block":
-        value = theta_4block(inputs["L"], inputs["p"], inputs["d"])
-        if not (0.0 <= value <= 1.0):
-            flags.append("outside_unit_interval")
-    elif formula == "tilde_L":
-        value = tilde_L(inputs["p"], inputs["d"])
-    elif formula == "block2_asymptote":
-        value = block2_asymptote(inputs["p"], inputs["d"])
-    elif formula == "theta_asymptote":
-        value = theta_asymptote(inputs["p"], inputs["d"])
-    elif formula == "domination_density":
-        value = domination_density(inputs["p"], inputs["d"])
-        if value <= 0.0:
-            flags.append("nonpositive_density")
-    elif formula == "T1":
-        value = T1(inputs["q"], inputs["d"])
-    elif formula == "T2":
-        value = T2(inputs["q"], inputs["d"])
-        if _t2_den(inputs["q"], inputs["d"]) <= 0.0:
-            flags.append("denominator_nonpositive")
-    elif formula == "q0_simple":
-        value = q0_simple(inputs["d"])
-    elif formula == "q0":
-        value = q0(inputs["d"])
-    else:
+    """Evaluate a named formula of FORMULAS into a report with validity flags."""
+    f = FORMULAS.get(formula)
+    if f is None:
         raise ValueError(f"unknown formula {formula!r}")
-    return BoundReport(formula, dict(inputs), float(value), tuple(flags))
-
-
-FORMULAS = (
-    "stick_good_lb",
-    "block2_nice_lb",
-    "hat_L",
-    "theta_4block",
-    "tilde_L",
-    "block2_asymptote",
-    "theta_asymptote",
-    "domination_density",
-    "T1",
-    "T2",
-    "q0_simple",
-    "q0",
-)
+    args = [inputs[k] for k in f.inputs]
+    value = f.fn(*args)
+    flags = (f.flag,) if f.flagged is not None and f.flagged(value, *args) else ()
+    return BoundReport(formula, dict(inputs), float(value), flags)

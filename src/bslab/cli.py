@@ -63,6 +63,7 @@ from .exact import build_kernel, marginals, stationary, stationary_rows
 from .graphs import (
     BudgetExceeded,
     chain_cover,
+    closed_neighbourhood,
     is_chain,
     longest_chain,
     parse_graph_spec,
@@ -397,8 +398,6 @@ def cmd_blocks(args) -> int:
         return run.finish()
     if args.flavor == "stick":
         L = args.L if args.L is not None else hat_L(args.p, g.max_degree)
-        from .graphs import closed_neighbourhood
-
         A = closed_neighbourhood(g, args.base)[: args.a_size]
         st = sample_stick_stats(g, params, args.base, A, L, args.n_samples, seed)
     elif args.flavor == "two":
@@ -465,22 +464,6 @@ def cmd_percolate(args) -> int:
     return run.finish()
 
 
-_FORMULA_INPUTS = {
-    "stick_good_lb": ("L", "q", "a"),
-    "block2_nice_lb": ("L", "p", "d"),
-    "hat_L": ("p", "d"),
-    "theta_4block": ("L", "p", "d"),
-    "tilde_L": ("p", "d"),
-    "block2_asymptote": ("p", "d"),
-    "theta_asymptote": ("p", "d"),
-    "domination_density": ("p", "d"),
-    "T1": ("q", "d"),
-    "T2": ("q", "d"),
-    "q0_simple": ("d",),
-    "q0": ("d",),
-}
-
-
 def cmd_formulas(args) -> int:
     run = Run(args, "formulas")
     have = {"d": args.d}
@@ -495,8 +478,8 @@ def cmd_formulas(args) -> int:
     if args.a is not None:
         have["a"] = args.a
     rows = []
-    for name in FORMULAS:
-        needed = _FORMULA_INPUTS[name]
+    for name, formula in FORMULAS.items():
+        needed = formula.inputs
         if not all(k in have for k in needed):
             continue
         rep = evaluate_formula(name, **{k: have[k] for k in needed})
@@ -683,8 +666,6 @@ def _preset_block_bounds(run: Run, seed: int, threads: int) -> None:
         else:
             g = parse_graph_spec("torus2d:5x5")
             chain = shortest_path(g, 0, 12).vertices
-        from .graphs import closed_neighbourhood
-
         A = closed_neighbourhood(g, chain[0])
         for p in (0.02, 0.01, 0.005, 0.0015):
             params = ModelParams(p=p)

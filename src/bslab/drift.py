@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import choose_h, cond_h_upper, drift_bounds
+from .bounds import cond_h_upper, drift_bounds
 from .dynamics import ModelParams
 from .graphs import BudgetExceeded, Graph, closed_neighbourhood
 
@@ -34,7 +34,6 @@ __all__ = [
     "verify_all_bounds",
     "scan_rows",
     "increment_bound",
-    "choose_h",
 ]
 
 _TOL = 1e-9

@@ -40,7 +40,6 @@ __all__ = [
     "sample_graphical_batch",
     "replay",
     "simulate_continuous",
-    "classical_step",
     "classical_fitness_samples",
     "event_log_rows",
 ]
@@ -379,19 +378,6 @@ def event_log_rows(g: Graph, result: ReplayResult) -> list[tuple[str, str, str, 
     return rows
 
 
-def classical_step(g: Graph, fitness: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One step of the classical model: resample the minimum's closed
-    neighbourhood with fresh uniforms.  Ties pick the smallest index."""
-    fitness = np.asarray(fitness, dtype=np.float64)
-    if fitness.shape != (g.num_vertices,):
-        raise ValueError("fitness size does not match graph")
-    v = int(np.argmin(fitness))
-    nbhd = list(closed_neighbourhood(g, v))
-    out = fitness.copy()
-    out[nbhd] = rng.random(len(nbhd))
-    return out
-
-
 def classical_fitness_samples(
     g: Graph,
     steps: int,
@@ -399,7 +385,11 @@ def classical_fitness_samples(
     sample_every: int,
     seed: int,
 ) -> np.ndarray:
-    """Pool fitness values from periodic snapshots after burn-in."""
+    """Pool fitness values from periodic snapshots after burn-in.
+
+    Each step of the classical model resamples the closed neighbourhood
+    of the minimum with fresh uniforms; ties pick the smallest index.
+    """
     rng = substream(seed, 17)
     fitness = rng.random(g.num_vertices)
     nbhd_cache = [list(closed_neighbourhood(g, x)) for x in range(g.num_vertices)]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats
 
 from .dynamics import ModelParams
 from .graphs import Graph, closed_neighbourhood
@@ -205,6 +204,8 @@ def transition_matrix_t(tm: TransitionModel, t: float, flavor: str, tail: float 
     The continuous flavor uses uniformization at rate n with the Poisson
     series truncated once the neglected tail mass is below `tail`.
     """
+    from scipy import stats  # slow to import; only this path needs it
+
     dense = tm.kernel.toarray()
     if flavor == "embedded":
         if t != int(t) or t < 0:

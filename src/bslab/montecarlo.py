@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
 from .dynamics import ALLONES_SEMANTICS, ModelParams
 from .graphs import Graph, closed_neighbourhood
@@ -29,9 +29,6 @@ __all__ = [
     "proportion_tail_from_batches",
     "zeros_tail_from_batches",
     "expected_zeros_from_batches",
-    "mc_marginal_one",
-    "mc_proportion_tail",
-    "mc_zeros_tail",
     "tail_fit_from_batches",
     "estimate_from_samples",
 ]
@@ -252,13 +249,22 @@ def run_batches(
     return BatchData(bits, hist, g.num_vertices, n_replicas, flavor, budget, tuple(notes))
 
 
-def _reduce(batch_vals: np.ndarray, bd: BatchData) -> Estimate:
-    b = np.asarray(batch_vals, dtype=float)
+def _t_estimate(values, total_budget: int, notes: tuple[str, ...]) -> Estimate:
+    """Mean, stderr and 95% t-interval treating each value as one batch."""
+    b = np.asarray(values, dtype=float)
     nb = b.size
     mean = float(b.mean())
     se = float(b.std(ddof=1) / math.sqrt(nb))
-    tq = float(_stats.t.ppf(0.975, nb - 1))
-    return Estimate(mean, se, (mean - tq * se, mean + tq * se), nb, bd.budget * bd.n_replicas, bd.notes)
+    tq = float(stdtrit(nb - 1, 0.975))
+    return Estimate(mean, se, (mean - tq * se, mean + tq * se), nb, total_budget, notes)
+
+
+def _reduce(batch_vals: np.ndarray, bd: BatchData) -> Estimate:
+    b = np.asarray(batch_vals, dtype=float)
+    notes = bd.notes
+    if b.min() == b.max():
+        notes += ("all batch means equal: the interval has zero width",)
+    return _t_estimate(b, bd.budget * bd.n_replicas, notes)
 
 
 def marginal_from_batches(bd: BatchData, x: int) -> Estimate:
@@ -268,16 +274,24 @@ def marginal_from_batches(bd: BatchData, x: int) -> Estimate:
     return _reduce(bd.bits[:, x], bd)
 
 
+def _tail_from_hist(bd: BatchData, lo: int, hi: int) -> Estimate:
+    """Probability that the ones count lies in [lo, hi].
+
+    Summed histogram cells can overshoot 1 by rounding; clipping each
+    batch to [0, 1] keeps the mean a probability.
+    """
+    lo = max(lo, 0)
+    if lo > hi:
+        vals = np.zeros(bd.hist.shape[0])
+    else:
+        vals = np.clip(bd.hist[:, lo : hi + 1].sum(axis=1), 0.0, 1.0)
+    return _reduce(vals, bd)
+
+
 def proportion_tail_from_batches(bd: BatchData, a: float) -> Estimate:
     """Stationary P(ones >= a * n)."""
     n = bd.num_vertices
-    k0 = math.ceil(a * n - 1e-12)
-    k0 = max(k0, 0)
-    if k0 > n:
-        vals = np.zeros(bd.hist.shape[0])
-    else:
-        vals = bd.hist[:, k0:].sum(axis=1)
-    return _reduce(vals, bd)
+    return _tail_from_hist(bd, math.ceil(a * n - 1e-12), n)
 
 
 def zeros_tail_from_batches(bd: BatchData, k: int) -> Estimate:
@@ -285,35 +299,13 @@ def zeros_tail_from_batches(bd: BatchData, k: int) -> Estimate:
     n = bd.num_vertices
     if k <= 0:
         return _reduce(np.ones(bd.hist.shape[0]), bd)
-    if k > n:
-        return _reduce(np.zeros(bd.hist.shape[0]), bd)
-    vals = bd.hist[:, : n - k + 1].sum(axis=1)
-    return _reduce(vals, bd)
+    return _tail_from_hist(bd, 0, n - k)
 
 
 def expected_zeros_from_batches(bd: BatchData) -> Estimate:
     n = bd.num_vertices
     weights = n - np.arange(n + 1)
     return _reduce(bd.hist @ weights, bd)
-
-
-def mc_marginal_one(
-    g: Graph, params: ModelParams, x: int, budget: int, seed: int, **kwargs
-) -> Estimate:
-    return marginal_from_batches(run_batches(g, params, budget, seed, **kwargs), x)
-
-
-def mc_proportion_tail(
-    g: Graph, params: ModelParams, a: float, budget: int, seed: int, **kwargs
-) -> Estimate:
-    return proportion_tail_from_batches(run_batches(g, params, budget, seed, **kwargs), a)
-
-
-def mc_zeros_tail(
-    g: Graph, params: ModelParams, ks: list[int], budget: int, seed: int, **kwargs
-) -> dict[int, Estimate]:
-    bd = run_batches(g, params, budget, seed, **kwargs)
-    return {k: zeros_tail_from_batches(bd, k) for k in ks}
 
 
 def tail_fit_from_batches(
@@ -351,7 +343,7 @@ def tail_fit_from_batches(
     c2 = -slope
     c2_se = float(math.sqrt(cov[0, 0]))
     dof = len(ks) - 2
-    tq = float(_stats.t.ppf(0.975, dof)) if dof > 0 else float("inf")
+    tq = float(stdtrit(dof, 0.975)) if dof > 0 else float("inf")
     resid = y - (slope * x + intercept)
     rms = float(math.sqrt(np.mean(resid**2)))
     return TailFit(
@@ -362,10 +354,6 @@ def tail_fit_from_batches(
 def estimate_from_samples(values: np.ndarray, notes: tuple[str, ...] = ()) -> Estimate:
     """Estimate from i.i.d. samples; every sample is its own batch."""
     b = np.asarray(values, dtype=float)
-    nb = b.size
-    if nb < 2:
+    if b.size < 2:
         raise ValueError("need at least two samples")
-    mean = float(b.mean())
-    se = float(b.std(ddof=1) / math.sqrt(nb))
-    tq = float(_stats.t.ppf(0.975, nb - 1))
-    return Estimate(mean, se, (mean - tq * se, mean + tq * se), nb, nb, notes)
+    return _t_estimate(b, b.size, notes)

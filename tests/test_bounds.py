@@ -217,6 +217,22 @@ def test_evaluate_formula_flags():
     assert "nonpositive_density" in rep.flags
     rep3 = evaluate_formula("T2", q=0.99, d=2)
     assert "denominator_nonpositive" in rep3.flags
+    # each flag follows its rule on both sides of the edge
+    seen = set()
+    for p in (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.9):
+        for d in (2, 4):
+            nonpositive = domination_density(p, d) <= 0.0
+            rep = evaluate_formula("domination_density", p=p, d=d)
+            assert rep.flags == (("nonpositive_density",) if nonpositive else ())
+            seen.add(("density", nonpositive))
+    for i in range(48):
+        q = 0.05 + 0.02 * i
+        for d in (2, 3, 4):
+            den = 1 + d * (1 - q - q * q) + q * (1 - q) ** d
+            rep = evaluate_formula("T2", q=q, d=d)
+            assert rep.flags == (("denominator_nonpositive",) if den <= 0.0 else ())
+            seen.add(("T2", den <= 0.0))
+    assert seen == {("density", True), ("density", False), ("T2", True), ("T2", False)}
     # theta stays inside [0,1] across its whole domain; the flag is a
     # tripwire and must stay silent
     for L in (0.1, 5.0, 40.0, 200.0):
@@ -224,6 +240,36 @@ def test_evaluate_formula_flags():
             rep2 = evaluate_formula("theta_4block", L=L, p=p, d=2)
             assert 0.0 <= rep2.value <= 1.0
             assert rep2.flags == ()
+            # the high-precision path runs the same formula; doubles only
+            # lose relative accuracy where theta underflows (L=200, p=0.3)
+            hp = theta_4block_highprec(L, p, 2)
+            assert rep2.value == pytest.approx(hp, rel=1e-12, abs=1e-250)
+
+
+def test_formula_table_matches_direct_calls():
+    L, p, q, d, a = 5.0, 0.01, 0.99, 2, 3
+    direct = {
+        "stick_good_lb": ({"L": L, "q": q, "a": a}, stick_good_lb(L, q, a)),
+        "block2_nice_lb": ({"L": L, "p": p, "d": d}, block2_nice_lb(L, p, d)),
+        "hat_L": ({"p": p, "d": d}, hat_L(p, d)),
+        "theta_4block": ({"L": L, "p": p, "d": d}, theta_4block(L, p, d)),
+        "tilde_L": ({"p": p, "d": d}, tilde_L(p, d)),
+        "block2_asymptote": ({"p": p, "d": d}, block2_asymptote(p, d)),
+        "theta_asymptote": ({"p": p, "d": d}, theta_asymptote(p, d)),
+        "domination_density": ({"p": p, "d": d}, domination_density(p, d)),  # < 0 here
+        "T1": ({"q": q, "d": d}, T1(q, d)),
+        "T2": ({"q": q, "d": d}, T2(q, d)),  # denominator < 0 here
+        "q0_simple": ({"d": d}, q0_simple(d)),
+        "q0": ({"d": d}, q0(d)),
+    }
+    flagged = {"domination_density": ("nonpositive_density",), "T2": ("denominator_nonpositive",)}
+    assert tuple(FORMULAS) == tuple(direct)
+    for name, (kwargs, value) in direct.items():
+        rep = evaluate_formula(name, **kwargs)
+        assert rep.formula == name
+        assert rep.inputs == kwargs
+        assert rep.value == value
+        assert rep.flags == flagged.get(name, ())
 
 
 def test_evaluate_formula_probability_range():

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from bslab.bounds import FORMULAS
 from bslab.cli import main
 
 
@@ -227,8 +228,13 @@ def test_formulas_cli(tmp_path, capsys):
     assert rc == 0
     rows = read_csv(tmp_path / "formulas.csv")
     assert rows[0] == ["formula", "inputs", "value", "flags"]
-    names = {r[0] for r in rows[1:]}
-    assert {"stick_good_lb", "block2_nice_lb", "theta_4block", "q0"} <= names
+    # every formula is computable from these inputs; rows follow the table
+    names = [r[0] for r in rows[1:]]
+    assert names == list(FORMULAS) == [
+        "stick_good_lb", "block2_nice_lb", "hat_L", "theta_4block", "tilde_L",
+        "block2_asymptote", "theta_asymptote", "domination_density",
+        "T1", "T2", "q0_simple", "q0",
+    ]
     # with only d given, just the threshold formulas are computable
     rc = main(["formulas", "--d", "2", "--out", str(tmp_path / "dn")])
     assert rc == 0

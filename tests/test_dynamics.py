@@ -9,7 +9,6 @@ from bslab.dynamics import (
     all_ones,
     all_zeros,
     classical_fitness_samples,
-    classical_step,
     event_log_rows,
     format_configuration,
     parse_configuration,
@@ -309,11 +308,13 @@ def test_batch_sampler_deterministic():
 
 def test_classical_step_replaces_min_neighbourhood():
     g = generate("cycle", 6)
-    rng = substream(53, 0)
-    fitness = np.array([0.9, 0.05, 0.8, 0.7, 0.6, 0.95])
-    new = classical_step(g, fitness, rng)
-    assert np.array_equal(new[[3, 4]], fitness[[3, 4]])
-    assert not np.array_equal(new[[0, 1, 2]], fitness[[0, 1, 2]])
+    # the sampler's initial fitness is the first draw of its stream
+    fitness = substream(53, 17).random(6)
+    new = classical_fitness_samples(g, steps=1, burn_in=0, sample_every=1, seed=53)
+    nbhd = list(closed_neighbourhood(g, int(np.argmin(fitness))))
+    rest = [x for x in range(6) if x not in nbhd]
+    assert np.array_equal(new[rest], fitness[rest])
+    assert not np.array_equal(new[nbhd], fitness[nbhd])
 
 
 def test_classical_samples_concentrate_above_half():

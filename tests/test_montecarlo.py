@@ -10,9 +10,6 @@ from bslab.montecarlo import (
     estimate_from_samples,
     expected_zeros_from_batches,
     marginal_from_batches,
-    mc_marginal_one,
-    mc_proportion_tail,
-    mc_zeros_tail,
     proportion_tail_from_batches,
     run_batches,
     tail_fit_from_batches,
@@ -76,7 +73,7 @@ def test_marginal_matches_exact_across_p():
     g = generate("cycle", 6)
     for p in (0.1, 0.3, 0.7):
         mg = _exact_marginals(g, p)
-        est = mc_marginal_one(g, ModelParams(p=p), 0, 40_000, seed=11)
+        est = marginal_from_batches(run_batches(g, ModelParams(p=p), 40_000, seed=11), 0)
         err = max(3 * est.stderr, 1e-4)
         assert abs(est.mean - mg.vertex_one[0]) < err
 
@@ -86,11 +83,12 @@ def test_proportion_and_zeros_tails_match_exact():
     p = 0.3
     mg = _exact_marginals(g, p)
     params = ModelParams(p=p)
-    est = mc_proportion_tail(g, params, 0.5, 40_000, seed=13)
+    est = proportion_tail_from_batches(run_batches(g, params, 40_000, seed=13), 0.5)
     assert abs(est.mean - mg.prob_mean_at_least(0.5)) < 3 * est.stderr
     # MC tail counts zeros >= k; the exact table stores P(zeros > k)
-    tails = mc_zeros_tail(g, params, [1, 2, 3], 40_000, seed=17)
-    for k, est in tails.items():
+    bd = run_batches(g, params, 40_000, seed=17)
+    for k in (1, 2, 3):
+        est = zeros_tail_from_batches(bd, k)
         assert abs(est.mean - mg.zeros_tail[k - 1]) < max(3 * est.stderr, 2e-3)
 
 
@@ -111,7 +109,7 @@ def test_flavors_differ_and_each_matches_its_exact_law():
     gap = abs(mg_ct.vertex_one[0] - mg_emb.vertex_one[0])
     assert gap > 5e-3  # the two time weightings genuinely differ
     for flavor, target in (("continuous", mg_ct), ("embedded", mg_emb)):
-        est = mc_marginal_one(g, params, 0, 60_000, seed=23, flavor=flavor)
+        est = marginal_from_batches(run_batches(g, params, 60_000, seed=23, flavor=flavor), 0)
         assert abs(est.mean - target.vertex_one[0]) < max(3 * est.stderr, 1e-3)
         wrong = mg_emb if flavor == "continuous" else mg_ct
         assert abs(est.mean - wrong.vertex_one[0]) > 3 * est.stderr
@@ -150,3 +148,29 @@ def test_estimate_from_samples():
     assert est.mean == pytest.approx(4.5)
     assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(8))
     assert est.n_batches == 8
+
+
+def test_saturated_tails_stay_probabilities_and_note_zero_width():
+    # at p=0.7 on the 12-cycle the upper ones tail holds all the mass, and
+    # summed histogram cells overshoot 1 by rounding
+    g = generate("cycle", 12)
+    bd = run_batches(g, ModelParams(p=0.7), 4000, seed=1)
+    for est in (
+        proportion_tail_from_batches(bd, 0.0),
+        proportion_tail_from_batches(bd, 0.5),
+        zeros_tail_from_batches(bd, 0),
+        zeros_tail_from_batches(bd, 1),
+        zeros_tail_from_batches(bd, 13),
+    ):
+        assert 0.0 <= est.mean <= 1.0
+        lo, hi = est.ci95
+        assert lo <= est.mean <= hi
+    never = zeros_tail_from_batches(bd, 13)  # more zeros than vertices
+    assert never.stderr == 0.0
+    assert any("zero width" in note for note in never.notes)
+    # the absorbed-replica count keys on that word; keep it out
+    assert not any("absorbed" in note for note in never.notes)
+    live = marginal_from_batches(bd, 0)
+    assert live.stderr > 0.0 and live.notes == ()
+    # i.i.d. estimates are a different path and carry no note
+    assert estimate_from_samples(np.ones(8)).notes == ()
