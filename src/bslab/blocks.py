@@ -11,21 +11,17 @@ grid, both induce oriented-percolation bond fields on the strip.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import block2_nice_lb, stick_good_lb, theta_4block
-from .dynamics import (
-    GraphicalConstruction,
-    ModelParams,
-    replay,
-    sample_graphical_batch,
-)
+from .dynamics import GraphicalConstruction, ModelParams, _graphical_chunks, replay
 from .graphs import Graph, closed_neighbourhood
 from .montecarlo import Estimate, estimate_from_samples
-from .percolation import StripField, level_size
+from .percolation import StripField, sites_at_level
 from .rng import substream
 
 __all__ = [
@@ -213,22 +209,33 @@ def blocks_separated(g: Graph, first: Block2, second: Block2) -> bool:
     return not (left & right)
 
 
-def _require_adjacent(g: Graph, x: int, y: int) -> None:
-    if y not in g.adjacency[x]:
-        raise ValueError(f"block pair {x},{y} is not an edge")
+def _require_adjacent(g: Graph, sites) -> None:
+    for x, y in zip(sites, sites[1:]):
+        if y not in g.adjacency[x]:
+            raise ValueError(f"block pair {x},{y} is not an edge")
+
+
+# ring order a->b->c and e->c->b, as positions into the four block sites
+_ORDERS4 = ((0, 1, 2), (3, 2, 1))
+
+
+def _is_nice(g: Graph, gc: GraphicalConstruction, sites, req, orders, window) -> bool:
+    """Every site's stick rings, each order of sites rings at increasing
+    times, and every stick v is req[v]-good, all inside the window."""
+    t0, t1 = window
+    _check_window(gc, t0, t1)
+    return (
+        all(ring_count(gc, v, window) > 0 for v in sites)
+        and all(_has_increasing_rings([gc.times[sites[i]] for i in o], t0, t1) for o in orders)
+        and all(_good_in_window(g, gc, v, A, t0, t1) for v, A in req.items())
+    )
 
 
 def block2_is_nice(g: Graph, gc: GraphicalConstruction, block: Block2) -> bool:
     """Ring at least once on both pair sticks, plus all goodness demands."""
-    _require_adjacent(g, block.x, block.y)
-    t0, t1 = block.window
-    _check_window(gc, t0, t1)
-    if ring_count(gc, block.x, (t0, t1)) == 0 or ring_count(gc, block.y, (t0, t1)) == 0:
-        return False
-    for v, A in required_goods_pair(g, block.x, block.y).items():
-        if not _good_in_window(g, gc, v, A, t0, t1):
-            return False
-    return True
+    _require_adjacent(g, (block.x, block.y))
+    req = required_goods_pair(g, block.x, block.y)
+    return _is_nice(g, gc, (block.x, block.y), req, (), block.window)
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,16 @@ def _has_increasing_rings(rows, t0: float, t1: float) -> bool:
     return True
 
 
+def _rings_in_order(rows, t0: float, t1: float) -> np.ndarray:
+    """_has_increasing_rings for m samples at once: rows[i] is an (m, k_i)
+    array of ring times padded with inf; the greedy step takes each
+    sample's earliest ring after its current time."""
+    t = np.full(len(rows[0]), float(t0))
+    for ts in rows:
+        t = np.where(ts > t[:, None], ts, np.inf).min(axis=1, initial=np.inf)
+    return t <= t1
+
+
 def block4_is_nice(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
     """All seven four-block conditions on one realization.
 
@@ -296,21 +313,27 @@ def block4_is_nice(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
     sets plus the adjacency-derived ones all hold; and rings occur in
     increasing order along a->b->c and along e->c->b.
     """
-    a, b, c, e = block.sites
-    for u, v in ((a, b), (b, c), (c, e)):
-        _require_adjacent(g, u, v)
-    t0, t1 = block.window
-    _check_window(gc, t0, t1)
-    for v in block.sites:
-        if ring_count(gc, v, (t0, t1)) == 0:
-            return False
-    for order in ((a, b, c), (e, c, b)):
-        if not _has_increasing_rings([gc.times[v] for v in order], t0, t1):
-            return False
-    for w, A in required_goods_quad(g, block.sites).items():
-        if not _good_in_window(g, gc, w, A, t0, t1):
-            return False
-    return True
+    _require_adjacent(g, block.sites)
+    return _is_nice(g, gc, block.sites, required_goods_quad(g, block.sites), _ORDERS4, block.window)
+
+
+def _chunk_is_nice(g: Graph, chunk, col: dict[int, int], sites, req, orders, window) -> np.ndarray:
+    """_is_nice for every sample of one chunk of dynamics._graphical_chunks,
+    whose column for vertex v is col[v]."""
+    counts, times, marks = chunk
+    t0, t1 = window
+    inside = (times > t0) & (times <= t1)
+    ok = inside[:, [col[v] for v in sites]].any(axis=2).all(axis=1)
+    for o in orders:
+        ok &= _rings_in_order([times[:, col[sites[i]]] for i in o], t0, t1)
+    sample = np.arange(len(counts))
+    for v, A in req.items():
+        j = col[v]
+        nbhd = closed_neighbourhood(g, v)
+        bad = marks[j][:, [nbhd.index(a) for a in sorted(A)]].any(axis=1)
+        bad &= inside[:, j][times[:, j] < np.inf]
+        ok &= np.bincount(np.repeat(sample, counts[:, j])[bad], minlength=len(counts)) == 0
+    return ok
 
 
 def block4_ring_pattern_sufficient(gc: GraphicalConstruction, block: Block4) -> bool:
@@ -384,36 +407,41 @@ def _direct_stats(
     flavor: str,
     g: Graph,
     params: ModelParams,
-    sizes: list[int],
-    ring_idx: tuple[int, ...],
+    sites: tuple[int, ...],
+    req: dict[int, frozenset[int]],
+    orders: tuple[tuple[int, ...], ...],
     L: float,
     n_samples: int,
     seed: int,
     analytic_lb: float,
-    orders: tuple[tuple[int, ...], ...] = (),
 ) -> BlockStats:
-    """Sample niceness directly from ring counts and mark counts.
-
-    Stick j needs no one-mark on its `sizes[j]` goodness columns, the
-    sticks in `ring_idx` must ring, and for each order (positions into
-    `ring_idx`) those sticks must ring at increasing times.  Ring times
-    are drawn only for samples that pass the count and goodness filters.
+    """Sample niceness of the spec (sites, req, orders) of _is_nice directly
+    from ring counts and mark counts, one column per stick of req in
+    sorted order.  Ring times of the sites' sticks are drawn only for
+    samples that pass the count and goodness filters, in (sample, site)
+    order, one uniform per ring.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = substream(seed, 41)
-    sizes_row = np.array(sizes)[None, :]
+    sticks = sorted(req)
+    sizes_row = np.array([len(req[v]) for v in sticks])[None, :]
+    ring_idx = [sticks.index(v) for v in sites]
     values = np.empty(n_samples, dtype=float)
     done = 0
     while done < n_samples:
         m = min(_SAMPLE_CHUNK, n_samples - done)
-        ks = rng.poisson(L, size=(m, len(sizes)))
-        ok = (ks[:, list(ring_idx)] >= 1).all(axis=1)
+        ks = rng.poisson(L, size=(m, len(sticks)))
+        ok = (ks[:, ring_idx] >= 1).all(axis=1)
         ok &= ~(rng.binomial(ks * sizes_row, params.p) > 0).any(axis=1)
         if orders:
-            for s in np.nonzero(ok)[0]:
-                times = [np.sort(L * (1.0 - rng.random(int(ks[s, j])))) for j in ring_idx]
-                ok[s] = all(_has_increasing_rings([times[i] for i in o], 0.0, L) for o in orders)
+            counts = ks[ok][:, ring_idx]
+            kmax = int(counts.max(initial=0))
+            times = np.full(counts.shape + (kmax,), np.inf)
+            times[np.arange(kmax) < counts[:, :, None]] = L * (1.0 - rng.random(int(counts.sum())))
+            times.sort(axis=2)
+            in_order = [_rings_in_order([times[:, i] for i in o], 0.0, L) for o in orders]
+            ok[ok] = np.logical_and.reduce(in_order)
         values[done : done + m] = ok
         done += m
     return BlockStats(
@@ -438,11 +466,11 @@ def sample_stick_stats(
 ) -> BlockStats:
     """Frequency of A-goodness for one stick, against the closed form."""
     nbhd = set(closed_neighbourhood(g, base))
-    aset = set(int(v) for v in A)
+    aset = frozenset(int(v) for v in A)
     if not aset <= nbhd:
         raise ValueError("A must sit inside the closed neighbourhood of the base")
     lb = stick_good_lb(L, params.q, len(aset))
-    return _direct_stats("stick", g, params, [len(aset)], (), L, n_samples, seed, lb)
+    return _direct_stats("stick", g, params, (), {base: aset}, (), L, n_samples, seed, lb)
 
 
 def sample_block2_stats(
@@ -455,14 +483,10 @@ def sample_block2_stats(
     seed: int,
 ) -> BlockStats:
     """Nice-rate of the pair block {x, y}, against the analytic bound."""
-    _require_adjacent(g, x, y)
-    req = required_goods_pair(g, x, y)
-    sticks = sorted(req)
-    ring_idx = (sticks.index(x), sticks.index(y))
+    _require_adjacent(g, (x, y))
     lb = block2_nice_lb(L, params.p, g.max_degree)
-    return _direct_stats(
-        "two", g, params, [len(req[v]) for v in sticks], ring_idx, L, n_samples, seed, lb
-    )
+    req = required_goods_pair(g, x, y)
+    return _direct_stats("two", g, params, (x, y), req, (), L, n_samples, seed, lb)
 
 
 def sample_block4_stats(
@@ -476,17 +500,10 @@ def sample_block4_stats(
 ) -> BlockStats:
     """Nice-rate of a four-block, against the analytic bound."""
     sites = Block4(tuple(chain), k0, 0.0, L).sites
-    for u, v in ((sites[0], sites[1]), (sites[1], sites[2]), (sites[2], sites[3])):
-        _require_adjacent(g, u, v)
+    _require_adjacent(g, sites)
     req = required_goods_quad(g, sites)
-    sticks = sorted(req)
-    ring_idx = tuple(sticks.index(v) for v in sites)
     lb = theta_4block(L, params.p, g.max_degree)
-    # ring order a->b->c and e->c->b, as positions into the four sites
-    orders = ((0, 1, 2), (3, 2, 1))
-    return _direct_stats(
-        "four", g, params, [len(req[v]) for v in sticks], ring_idx, L, n_samples, seed, lb, orders
-    )
+    return _direct_stats("four", g, params, sites, req, _ORDERS4, L, n_samples, seed, lb)
 
 
 _INDEPENDENCE_PAIRS = ("same_level", "adjacent_level", "self")
@@ -540,13 +557,16 @@ def block4_independence_check(
     blocks = tuple(Block4(chain, k0, t, L) for k0, t in cells)
     dep: set[int] = set()
     for blk in blocks:
+        _require_adjacent(g, blk.sites)
         for v in blk.sites:
             dep.update(closed_neighbourhood(g, v))
-    ind = np.empty((n_samples, 2), dtype=bool)
-    stream = sample_graphical_batch(g, params, horizon, n_samples, seed, vertices=sorted(dep))
-    for i, gc in enumerate(stream):
-        ind[i, 0] = block4_is_nice(g, gc, blocks[0])
-        ind[i, 1] = block4_is_nice(g, gc, blocks[1])
+    wanted = sorted(dep)
+    col = {v: j for j, v in enumerate(wanted)}
+    specs = [(blk.sites, required_goods_quad(g, blk.sites), _ORDERS4, blk.window) for blk in blocks]
+    ind = np.concatenate([
+        np.stack([_chunk_is_nice(g, chunk, col, *spec) for spec in specs], axis=1)
+        for chunk in _graphical_chunks(g, params, horizon, n_samples, seed, wanted)
+    ])
     va = ind[:, 0].astype(float)
     vb = ind[:, 1].astype(float)
     notes: list[str] = []
@@ -614,9 +634,6 @@ class BlockGrid:
             return ((k, n + 1), (k + 1, n + 1))
         return ((k - 1, n + 1), (k, n + 1))
 
-    def neighbours(self, k: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((k - 1, n), (k + 1, n))
-
 
 _FLAVORS = ("two_block", "four_block")
 
@@ -641,56 +658,28 @@ def chain_to_percolation(
     levels = int(math.floor(gc.horizon / L + _EPS)) - 1
     if levels < 1:
         raise ValueError("horizon too short: need at least two block windows")
-    memo: dict[tuple[int, int], bool] = {}
     if flavor == "two_block":
         N = (len(chain) - 2) // 2
         if N < 1:
             raise ValueError("chain too short for a two-site block strip")
         grid = BlockGrid(chain, L)
-        def target_nice(k: int, n: int) -> bool:
-            key = (k, n)
-            if key not in memo:
-                memo[key] = block2_is_nice(g, gc, grid.block(k, n))
-            return memo[key]
-        bl, br = [], []
-        for n in range(levels):
-            w = level_size(N, n)
-            left = np.zeros(w, dtype=bool)
-            right = np.zeros(w, dtype=bool)
-            if n % 2 == 0:
-                for i in range(1, w):
-                    left[i] = target_nice(i, n + 1)
-                for i in range(w - 1):
-                    right[i] = target_nice(i + 1, n + 1)
-            else:
-                for i in range(w):
-                    left[i] = target_nice(i, n + 1)
-                    right[i] = target_nice(i + 1, n + 1)
-            bl.append(left)
-            br.append(right)
-        return StripField(N, levels, tuple(bl), tuple(br), None)
-    kmax = (len(chain) - 4) // 4
-    N = kmax // 2
-    if N < 1:
-        raise ValueError("chain too short for a four-site block strip")
-    def cell_nice(kc: int, j: int) -> bool:
-        key = (kc, j)
-        if key not in memo:
-            memo[key] = block4_is_nice(g, gc, Block4(chain, 4 * kc, j * L, L))
-        return memo[key]
+
+        @functools.cache
+        def nice(m: int, level: int) -> bool:
+            return block2_is_nice(g, gc, grid.block((m + 1) // 2, level))
+    else:
+        N = (len(chain) - 4) // 8
+        if N < 1:
+            raise ValueError("chain too short for a four-site block strip")
+
+        @functools.cache
+        def nice(m: int, level: int) -> bool:
+            return block4_is_nice(g, gc, Block4(chain, 4 * m, level * L, L))
     bl, br = [], []
     for n in range(levels):
-        w = level_size(N, n)
-        left = np.zeros(w, dtype=bool)
-        right = np.zeros(w, dtype=bool)
-        for i in range(w):
-            m = 2 * i + (n % 2)
-            if m - 1 >= 0:
-                left[i] = cell_nice(m - 1, n + 1)
-            if m + 1 <= 2 * N:
-                right[i] = cell_nice(m + 1, n + 1)
-        bl.append(left)
-        br.append(right)
+        ms = sites_at_level(N, n)
+        bl.append(np.array([m >= 1 and nice(m - 1, n + 1) for m in ms], dtype=bool))
+        br.append(np.array([m < 2 * N and nice(m + 1, n + 1) for m in ms], dtype=bool))
     return StripField(N, levels, tuple(bl), tuple(br), None)
 
 

@@ -167,6 +167,35 @@ def sample_graphical(
     )
 
 
+def _graphical_chunks(
+    g: Graph, params: ModelParams, horizon: float, n_samples: int, seed: int, wanted
+):
+    """Yield (counts, times, marks) for successive chunks of samples.
+
+    counts is (m, w) over the `wanted` vertices; times is (m, w, kmax)
+    with each row's ring times sorted and padded with inf; marks[j] is
+    vertex j's (counts[:, j].sum(), |N[x]|) uint8 mark rows, sample by
+    sample, ring by ring.
+    """
+    sizes = [len(closed_neighbourhood(g, x)) for x in wanted]
+    rng = substream(seed, 71)
+    chunk = 4096
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        counts = rng.poisson(horizon, size=(m, len(wanted)))
+        kmax = int(counts.max(initial=0))
+        times = (1.0 - rng.random((m, len(wanted), kmax))) * horizon
+        times[np.arange(kmax) >= counts[:, :, None]] = np.inf
+        times.sort(axis=2)
+        marks = [
+            (rng.random((int(counts[:, j].sum()), size)) < params.p).astype(np.uint8)
+            for j, size in enumerate(sizes)
+        ]
+        yield counts, times, marks
+        done += m
+
+
 def sample_graphical_batch(
     g: Graph,
     params: ModelParams,
@@ -186,38 +215,16 @@ def sample_graphical_batch(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if n_samples <= 0:
-        return
     wanted = list(range(g.num_vertices)) if vertices is None else sorted(set(int(v) for v in vertices))
-    sizes = [len(closed_neighbourhood(g, x)) for x in wanted]
-    rng = substream(seed, 71)
-    nw = len(wanted)
-    chunk = 4096
     done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        counts = rng.poisson(horizon, size=(m, nw))
-        maxk = int(counts.max()) if counts.size else 0
-        if maxk > 0:
-            times = (1.0 - rng.random((m, nw, maxk))) * horizon
-            times[np.arange(maxk) >= counts[:, :, None]] = np.inf
-            times.sort(axis=2)
-        else:
-            times = np.empty((m, nw, 0))
-        flat_marks = []
-        offsets = []
-        for j in range(nw):
-            total = int(counts[:, j].sum())
-            flat_marks.append((rng.random((total, sizes[j])) < params.p).astype(np.uint8))
-            offsets.append(np.concatenate(([0], np.cumsum(counts[:, j]))))
-        for s in range(m):
+    for counts, times, marks in _graphical_chunks(g, params, horizon, n_samples, seed, wanted):
+        offsets = np.vstack((np.zeros_like(counts[:1]), counts.cumsum(axis=0)))
+        for s in range(len(counts)):
             tlist: list[np.ndarray] = [np.empty(0)] * g.num_vertices
             mlist: list[np.ndarray] = [np.empty((0, 0), dtype=np.uint8)] * g.num_vertices
             for j, x in enumerate(wanted):
-                k = int(counts[s, j])
-                tlist[x] = times[s, j, :k].copy()
-                lo, hi = int(offsets[j][s]), int(offsets[j][s + 1])
-                mlist[x] = flat_marks[j][lo:hi]
+                tlist[x] = times[s, j, : counts[s, j]].copy()
+                mlist[x] = marks[j][offsets[s, j] : offsets[s + 1, j]]
             yield GraphicalConstruction(
                 horizon=float(horizon),
                 times=tuple(tlist),
@@ -225,7 +232,7 @@ def sample_graphical_batch(
                 seed=int(seed),
                 replica=done + s,
             )
-        done += m
+        done += len(counts)
 
 
 @dataclass

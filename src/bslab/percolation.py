@@ -192,19 +192,7 @@ def prob_connect(
     N: int, theta: float, K: int, x: int, y: int, n_samples: int, seed: int
 ) -> Estimate:
     """MC estimate of P[x -> y] for x in H_0, y in H_{KN}."""
-    levels = K * N
-    _check_site(N, 0, x, "x")
-    _check_site(N, levels, y, "y")
-    if abs(y - x) > levels:
-        return Estimate(0.0, 0.0, (0.0, 0.0), n_samples, n_samples, ("target unreachable",))
-    rng = substream(seed, 31)
-    B = LevelSet.from_sites(N, 0, [x])
-    j = (y - levels % 2) // 2
-    hits = np.empty(n_samples, dtype=float)
-    for i in range(n_samples):
-        field = sample_strip(N, theta, levels, rng)
-        hits[i] = 1.0 if evolve(field, B, levels).mask[j] else 0.0
-    return estimate_from_samples(hits)
+    return prob_connect_theta_sweep(N, [theta], K, x, y, n_samples, seed)[float(theta)]
 
 
 def prob_connect_theta_sweep(
@@ -216,6 +204,11 @@ def prob_connect_theta_sweep(
     _check_site(N, 0, x, "x")
     _check_site(N, levels, y, "y")
     thetas = sorted(float(t) for t in thetas)
+    if not all(0.0 <= t <= 1.0 for t in thetas):
+        raise ValueError("theta must lie in [0, 1]")
+    if abs(y - x) > levels:
+        unreachable = Estimate(0.0, 0.0, (0.0, 0.0), n_samples, n_samples, ("target unreachable",))
+        return {t: unreachable for t in thetas}
     rng = substream(seed, 31)
     B = LevelSet.from_sites(N, 0, [x])
     j = (y - levels % 2) // 2

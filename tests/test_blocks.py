@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bslab.blocks import (
     Block2,
@@ -10,6 +12,8 @@ from bslab.blocks import (
     BlockGrid,
     IndependenceReport,
     Stick,
+    _has_increasing_rings,
+    _rings_in_order,
     block2_is_nice,
     block2_proposition_check,
     block4_independence_check,
@@ -420,6 +424,53 @@ def test_block4_independence_self_and_adjacent():
         block4_independence_check(g, chain, params, L, 100, 13, pair="bogus")
     with pytest.raises(ValueError):
         block4_independence_check(g, chain, params, L, 1, 13)
+
+
+# ring times on a coarse grid, so rings sit exactly at t0 and at t1
+_RING_TIME = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n_rows=st.integers(1, 3))
+def test_rings_in_order_matches_scalar_oracle(data, m, n_rows):
+    t0, t1 = sorted(data.draw(st.lists(_RING_TIME, min_size=2, max_size=2)))
+    rows, samples = [], [[] for _ in range(m)]
+    for _ in range(n_rows):
+        per_sample = [
+            sorted(data.draw(st.lists(_RING_TIME, max_size=4))) for _ in range(m)
+        ]
+        width = max(len(ts) for ts in per_sample) + data.draw(st.integers(0, 2))
+        padded = np.full((m, width), np.inf)
+        for s, ts in enumerate(per_sample):
+            padded[s, : len(ts)] = ts
+            samples[s].append(np.array(ts))
+        rows.append(padded)
+    got = _rings_in_order(rows, t0, t1)
+    assert got.shape == (m,)
+    assert got.tolist() == [_has_increasing_rings(r, t0, t1) for r in samples]
+
+
+@pytest.mark.parametrize("pair, n_sites", [("same_level", 12), ("adjacent_level", 8), ("self", 4)])
+def test_block4_independence_matches_pathwise_oracle(pair, n_sites):
+    g = generate("cycle", 16)
+    chain = tuple(range(n_sites))
+    params = ModelParams(p=0.02)
+    L = tilde_L(0.01, 2)
+    n, seed = 600, 31
+    rep = block4_independence_check(g, chain, params, L, n, seed, pair=pair)
+    cells, horizon = {
+        "same_level": (((0, 0.0), (8, 0.0)), L),
+        "adjacent_level": (((0, 0.0), (4, L)), 2 * L),
+        "self": (((0, 0.0), (0, 0.0)), L),
+    }[pair]
+    blocks = [Block4(chain, k0, t, L) for k0, t in cells]
+    dep = sorted({u for b in blocks for v in b.sites for u in closed_neighbourhood(g, v)})
+    stream = sample_graphical_batch(g, params, horizon, n, seed, vertices=dep)
+    ind = np.array([[block4_is_nice(g, gc, b) for b in blocks] for gc in stream], dtype=float)
+    assert 0.0 < ind[:, 0].mean() < 1.0
+    assert rep.rate_a == ind[:, 0].mean()
+    assert rep.rate_b == ind[:, 1].mean()
+    assert rep.corr == float(np.corrcoef(ind[:, 0], ind[:, 1])[0, 1])
 
 
 def test_block_grid_geometry():

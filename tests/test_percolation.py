@@ -196,6 +196,14 @@ def test_theta_sweep_monotone_and_consistent():
     assert abs(res[0.8].mean - single.mean) < 4 * (res[0.8].stderr + single.stderr + 1e-6)
 
 
+def test_theta_sweep_rejects_theta_outside_unit_interval():
+    for bad in (1.5, -0.2):
+        with pytest.raises(ValueError, match="theta"):
+            prob_connect_theta_sweep(6, [0.5, bad], 3, 0, 0, 50, seed=4)
+        with pytest.raises(ValueError, match="theta"):
+            prob_connect(6, bad, 3, 0, 0, 50, seed=4)
+
+
 def test_prob_good_level_and_side_condition():
     B = LevelSet.from_sites(2, 0, [0, 2, 4])
     est = prob_good_level(2, 0.95, 2, 0.7, B, 400, seed=23)
