@@ -549,7 +549,7 @@ def block4_independence_check(
         cells = ((0, 0.0), (4, L))
         horizon = 2.0 * L
     else:
-        cells = ((0, 0.0), (0, 0.0))
+        cells = ((0, 0.0),)  # the one column serves as both indicators
         horizon = L
     need = max(k0 for k0, _ in cells) + 4
     if len(chain) < need:
@@ -568,7 +568,7 @@ def block4_independence_check(
         for chunk in _graphical_chunks(g, params, horizon, n_samples, seed, wanted)
     ])
     va = ind[:, 0].astype(float)
-    vb = ind[:, 1].astype(float)
+    vb = ind[:, -1].astype(float)
     notes: list[str] = []
     if va.var() == 0.0 or vb.var() == 0.0:
         corr = 0.0

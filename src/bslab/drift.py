@@ -7,9 +7,17 @@ change exactly (enumerating every mark outcome of an update) and
 compares the conditional drifts against the displayed closed-form
 bounds, per update type and per count m of neighbouring particles.
 
-The enumeration works on integer bitmasks (bit x set = fitness one at
-vertex x) so exhaustive scans over all configurations of graphs up to
-16 vertices stay cheap.
+Configurations are int64 bitmasks (bit x set = fitness one at vertex
+x).  One kernel, `_Enumerator.site_arrays`, evaluates an update site v
+on a whole array of states in which v holds a zero: it loops over the
+2^(deg+1) mark patterns of v's closed neighbourhood and does everything
+inside that loop as bit and array operations on the states.  The
+expectations accumulate pattern by pattern in a fixed order, so every
+float equals the one-state-at-a-time enumeration bit for bit.
+`verify_all_bounds` runs the kernel once per site over all 2^(n-1)
+states with that site zero and reduces each check to its minimum, ties
+going to the first (state, site) pair in ascending order;
+`exact_drift` runs it on a one-state array.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import cond_h_upper, drift_bounds
+from .bounds import drift_bounds
 from .dynamics import ModelParams
 from .graphs import BudgetExceeded, Graph, closed_neighbourhood
 
@@ -111,7 +119,8 @@ class UpdateDecomposition:
 
 
 class _Enumerator:
-    """Per-graph precomputation for exact update enumeration."""
+    """Per-graph tables and the per-site array kernel of the exact
+    update enumeration."""
 
     def __init__(self, g: Graph, params: ModelParams, h: float):
         if not (0.0 <= h < 1.0):
@@ -119,12 +128,9 @@ class _Enumerator:
         n = g.num_vertices
         if g.max_degree + 1 > 20:
             raise BudgetExceeded("degree too large to enumerate 2^(deg+1) outcomes")
-        self.g = g
+        if n > 63:
+            raise BudgetExceeded("states are int64 bitmasks: at most 63 vertices")
         self.h = h
-        self.p = params.p
-        self.q = params.q
-        self.n = n
-        self.full = (1 << n) - 1
         self.cmask = g.closed_nbhd_masks()
         self.nmask = [self.cmask[v] ^ (1 << v) for v in range(n)]
         self.nb = [list(closed_neighbourhood(g, v)) for v in range(n)]
@@ -138,84 +144,55 @@ class _Enumerator:
             aff = [u for u in range(n) if (amask >> u) & 1]
             self.aff.append(aff)
             self.ext.append([u for u in aff if not (self.cmask[v] >> u) & 1])
-        self.pmask = []
-        self.probs = []
-        for v in range(n):
-            nb = self.nb[v]
+        # mark patterns of each site: bit j of pat is the new fitness of
+        # nb[v][j]; (rewritten-ones mask, probability) in pattern order
+        self.patterns = []
+        for nb in self.nb:
             k = len(nb)
-            masks = []
-            prob = []
-            for pat in range(1 << k):
-                mask = 0
-                for j in range(k):
-                    if (pat >> j) & 1:
-                        mask |= 1 << nb[j]
-                masks.append(mask)
-                ones = pat.bit_count()
-                prob.append(self.p**ones * self.q ** (k - ones))
-            self.pmask.append(masks)
-            self.probs.append(prob)
+            self.patterns.append([
+                (
+                    sum(1 << u for j, u in enumerate(nb) if (pat >> j) & 1),
+                    params.p ** pat.bit_count() * params.q ** (k - pat.bit_count()),
+                )
+                for pat in range(1 << k)
+            ])
 
-    def _is_t2(self, state: int, u: int) -> bool:
-        zn = ~state
-        return bool((zn >> u) & 1) and (zn & self.nmask[u] & self.full) != 0
+    def _t2(self, zn: np.ndarray, u: int) -> np.ndarray:
+        """Type-2 indicator of u over zero masks zn (bit x set = zero at x)."""
+        return (((zn >> u) & 1) != 0) & ((zn & self.nmask[u]) != 0)
 
-    def site_update(self, state: int, v: int) -> UpdateDecomposition:
-        if (state >> v) & 1:
-            raise ValueError("update site must hold a zero")
+    def site_arrays(self, states: np.ndarray, v: int) -> tuple[np.ndarray, ...]:
+        """The UpdateDecomposition fields after `site` (vtype, m, weight,
+        x1, x2, z, z_rev, drift_f, drift_n, drift_n2, max_abs_df,
+        pathwise_ok, identity_err), each an array over `states`: int64
+        bitmasks that all hold a zero at v."""
         h = self.h
-        nb = self.nb[v]
-        k = len(nb)
-        m = ((~state) & self.nmask[v] & self.full).bit_count()
-        vtype = 1 if m == 0 else 2
-        w = 1.0 if m == 0 else 1.0 - h
-        aff = self.aff[v]
-        ext = self.ext[v]
-        old_t2 = {u: self._is_t2(state, u) for u in aff}
-        old_t2_count = sum(old_t2.values())
-        clear = state & ~self.cmask[v]
+        zs = ~states
+        m = np.bitwise_count(zs & self.nmask[v]).astype(np.int64)
+        vtype = np.where(m == 0, 1, 2)
+        w = np.where(m == 0, 1.0, 1.0 - h)
+        old_t2_count = sum(self._t2(zs, u) for u in self.aff[v])
+        old_ext = [self._t2(zs, u) for u in self.ext[v]]
+        clear = states & ~self.cmask[v]
 
-        ex1 = ex2 = ez = ezrev = edf = edn = edn2 = 0.0
-        max_abs = 0.0
-        pathwise_ok = True
-        ident_err = 0.0
-        pmask = self.pmask[v]
-        probs = self.probs[v]
-        nmask = self.nmask
-        full = self.full
-        for pat in range(1 << k):
-            ns = clear | pmask[pat]
-            pr = probs[pat]
-            zn = ~ns
-            x1 = x2 = 0
-            for u in nb:
-                if (zn >> u) & 1:
-                    if zn & nmask[u] & full:
-                        x2 += 1
-                    else:
-                        x1 += 1
-            z = zrev = 0
-            new_t2_count = 0
-            for u in aff:
-                t2 = bool((zn >> u) & 1) and (zn & nmask[u] & full) != 0
-                if t2:
-                    new_t2_count += 1
-            for u in ext:
-                if not (zn >> u) & 1:
-                    continue
-                t2_new = (zn & nmask[u] & full) != 0
-                if old_t2[u] and not t2_new:
-                    z += 1
-                elif not old_t2[u] and t2_new:
-                    zrev += 1
+        ex1, ex2, ez, ezrev, edf, edn, edn2, max_abs, ident_err = (
+            np.zeros(states.size) for _ in range(9)
+        )
+        pathwise_ok = np.ones(states.size, dtype=bool)
+        for mask, pr in self.patterns[v]:
+            zn = ~(clear | mask)
+            x2 = sum(self._t2(zn, u) for u in self.nb[v])
+            x1 = np.bitwise_count(zn & self.cmask[v]) - x2
+            new_ext = [self._t2(zn, u) for u in self.ext[v]]
+            z = sum(old & ~new for old, new in zip(old_ext, new_ext))
+            zrev = sum(new & ~old for old, new in zip(old_ext, new_ext))
             dn = (x1 + x2) - (m + 1)
-            dn2 = new_t2_count - old_t2_count
+            dn2 = x2 + sum(new_ext) - old_t2_count
             df = dn - h * dn2
             rhs_exact = x1 + (1.0 - h) * x2 + h * (z - zrev) - (1.0 - h) * m - w
-            ident_err = max(ident_err, abs(df - rhs_exact))
-            if df > x1 + (1.0 - h) * x2 + h * z - (1.0 - h) * m - w + _TOL:
-                pathwise_ok = False
-            max_abs = max(max_abs, abs(df))
+            ident_err = np.maximum(ident_err, np.abs(df - rhs_exact))
+            pathwise_ok &= ~(df > x1 + (1.0 - h) * x2 + h * z - (1.0 - h) * m - w + _TOL)
+            max_abs = np.maximum(max_abs, np.abs(df))
             ex1 += pr * x1
             ex2 += pr * x2
             ez += pr * z
@@ -223,17 +200,9 @@ class _Enumerator:
             edf += pr * df
             edn += pr * dn
             edn2 += pr * dn2
-        return UpdateDecomposition(
-            v, vtype, m, w, ex1, ex2, ez, ezrev, edf, edn, edn2, max_abs, pathwise_ok, ident_err
+        return (
+            vtype, m, w, ex1, ex2, ez, ezrev, edf, edn, edn2, max_abs, pathwise_ok, ident_err
         )
-
-
-def _state_of(config: np.ndarray, n: int) -> int:
-    state = 0
-    for u in range(n):
-        if config[u]:
-            state |= 1 << u
-    return state
 
 
 @dataclass(frozen=True)
@@ -266,9 +235,11 @@ def exact_drift(g: Graph, config: np.ndarray, params: ModelParams, h: float) -> 
     if census.total == 0:
         raise ValueError("configuration has no zeros")
     enum = _Enumerator(g, params, h)
-    state = _state_of(config, g.num_vertices)
+    state = np.array([(config != 0) @ (1 << np.arange(g.num_vertices))], dtype=np.int64)
     sites = tuple(
-        enum.site_update(state, v) for v in range(g.num_vertices) if labels[v] != 0
+        UpdateDecomposition(v, *(a.item() for a in enum.site_arrays(state, v)))
+        for v in range(g.num_vertices)
+        if labels[v] != 0
     )
     exact = sum(s.drift_f for s in sites) / len(sites)
     dn = sum(s.drift_n for s in sites) / len(sites)
@@ -334,26 +305,35 @@ class ScanReport:
 
 
 def _bits(state: int, n: int) -> str:
-    return "".join("1" if (state >> u) & 1 else "0" for u in range(n))
+    return format(state, f"0{n}b")[::-1]
 
 
 class _Tracker:
+    """Minimum margin of one check over (state, site) pairs.  Ties go to
+    the smallest state, then to the site added first, so the result is
+    the first minimum of a scan in that order with a strict `<`."""
+
     def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.min_margin = math.inf
-        self.worst_config = ""
+        self.worst_state = -1  # no state yet: an infinite margin never replaces it
         self.worst_site: int | None = None
 
-    def add(self, margin: float, config_bits: str, site: int | None) -> None:
-        self.count += 1
-        if margin < self.min_margin:
+    def add(self, margins: np.ndarray, states: np.ndarray, site: int | None) -> None:
+        if margins.size == 0:
+            return
+        self.count += margins.size
+        i = int(np.argmin(margins))
+        margin, state = float(margins[i]), int(states[i])
+        if (margin, state) < (self.min_margin, self.worst_state):
             self.min_margin = margin
-            self.worst_config = config_bits
+            self.worst_state = state
             self.worst_site = site
 
-    def stat(self) -> CheckStat:
-        return CheckStat(self.name, self.count, self.min_margin, self.worst_config, self.worst_site)
+    def stat(self, n: int) -> CheckStat:
+        config = _bits(self.worst_state, n) if self.worst_state >= 0 else ""
+        return CheckStat(self.name, self.count, self.min_margin, config, self.worst_site)
 
 
 def verify_all_bounds(
@@ -370,7 +350,6 @@ def verify_all_bounds(
     if n > 16:
         raise BudgetExceeded("configuration scan limited to 16 vertices")
     q = params.q
-    p = params.p
     d = g.max_degree
     regular = g.is_regular()
     notes: list[str] = []
@@ -401,67 +380,75 @@ def verify_all_bounds(
             "decomposition",
         )
     }
-    rows: list[tuple[str, int, int, float, float | None, float | None]] = []
-    all_hold = True
-    max_cond = -math.inf
+    cond_max = _Tracker("max_cond_drift")  # minimum of -drift_f
+    full = (1 << n) - 1
+    all_states = np.arange(full, dtype=np.int64)
+    # per-state sums over zero sites, accumulated site by site in ascending
+    # order, as the per-state Python sum did
+    sum_dn = np.zeros(full)
+    n2 = np.zeros(full, dtype=np.int64)
+    row_parts = []
     n_sites = 0
 
-    full = (1 << n) - 1
-    for state in range(full):
-        bits = _bits(state, n)
-        zeros = [u for u in range(n) if not (state >> u) & 1]
-        decs = [enum.site_update(state, u) for u in zeros]
-        n_sites += len(decs)
-        n2 = sum(1 for s in decs if s.vtype == 2)
-        frac2 = n2 / len(decs)
+    for v in range(n):
+        states = all_states[((all_states >> v) & 1) == 0]
+        n_sites += states.size
+        vtype, m, _, x1, x2, z, _, drift_f, drift_n, drift_n2, max_abs, path_ok, ident = (
+            enum.site_arrays(states, v)
+        )
+        sum_dn[states] += drift_n
+        n2[states] += vtype == 2
+        cond_max.add(-drift_f, states, v)
+        deg = g.degree(v)
+        # exact decomposition identity and the one-sided pathwise form
+        trackers["decomposition"].add(_TOL - ident, states, v)
+        trackers["pathwise_f"].add(np.where(path_ok, 0.0, -1.0), states, v)
+        trackers["increment"].add(c_bound - max_abs, states, v)
+        # progeny counts use the site's own degree; exact equality
+        total_err = np.abs((x1 + x2) - q * (deg + 1))
+        trackers["progeny_total"].add(_TOL - total_err, states, v)
+        x2_lb = deg * q * q + q * (1.0 - (1.0 - q) ** deg)
+        trackers["progeny_type2"].add(x2 - x2_lb, states, v)
+        t1 = vtype == 1
+        t2 = ~t1
+        s1, s2 = states[t1], states[t2]
+        trackers["transitions_type1"].add(_TOL - np.abs(z[t1]), s1, v)
+        trackers["new_type2_type1"].add(drift_n2[t1] - 2.0 * q * q, s1, v)
+        trackers["transitions_type2"].add((m * (1.0 - q) * (d - 1) - z)[t2], s2, v)
+        trackers["new_type2_type2"].add(drift_n2[t2] + (1.0 + d * d), s2, v)
+        if regular:
+            mid = (
+                q * (d + 1)
+                - h * (q * q * d + q * (1.0 - (1.0 - q) ** d))
+                + h * m * (1.0 - q) * (d - 1)
+                - (1.0 - h) * (m + 1)
+            )
+            trackers["type1_drift"].add(db.type1_bound - drift_f[t1], s1, v)
+            trackers["type2_drift_m"].add((mid - drift_f)[t2], s2, v)
+            if cond_ok:
+                trackers["type2_drift"].add(db.type2_bound - drift_f[t2], s2, v)
+            bound = np.where(t1, db.type1_bound, db.type2_bound if cond_ok else mid)
+        if keep_rows:
+            row_parts.append((states, vtype, m, drift_f) + ((bound,) if regular else ()))
 
-        count_bound = (d + 1) * q - 1.0 - frac2
-        e_dn = sum(s.drift_n for s in decs) / len(decs)
-        trackers["count_drift"].add(count_bound - e_dn, bits, None)
+    zeros = n - np.bitwise_count(all_states)
+    count_bound = (d + 1) * q - 1.0 - n2 / zeros
+    trackers["count_drift"].add(count_bound - sum_dn / zeros, all_states, None)
 
-        for s in decs:
-            deg = g.degree(s.site)
-            max_cond = max(max_cond, s.drift_f)
-            # exact decomposition identity and the one-sided pathwise form
-            trackers["decomposition"].add(_TOL - s.identity_err, bits, s.site)
-            trackers["pathwise_f"].add(0.0 if s.pathwise_ok else -1.0, bits, s.site)
-            trackers["increment"].add(c_bound - s.max_abs_df, bits, s.site)
-            # progeny counts use the site's own degree; exact equality
-            total_err = abs((s.x1 + s.x2) - q * (deg + 1))
-            trackers["progeny_total"].add(_TOL - total_err, bits, s.site)
-            x2_lb = deg * q * q + q * (1.0 - (1.0 - q) ** deg)
-            trackers["progeny_type2"].add(s.x2 - x2_lb, bits, s.site)
-            bound: float | None = None
-            if s.vtype == 1:
-                trackers["transitions_type1"].add(_TOL - abs(s.z), bits, s.site)
-                trackers["new_type2_type1"].add(s.drift_n2 - 2.0 * q * q, bits, s.site)
-                if regular:
-                    bound = db.type1_bound
-                    trackers["type1_drift"].add(bound - s.drift_f, bits, s.site)
-            else:
-                trackers["transitions_type2"].add(
-                    s.m * (1.0 - q) * (d - 1) - s.z, bits, s.site
-                )
-                trackers["new_type2_type2"].add(s.drift_n2 + (1.0 + d * d), bits, s.site)
-                if regular:
-                    mid = (
-                        q * (d + 1)
-                        - h * (q * q * d + q * (1.0 - (1.0 - q) ** d))
-                        + h * s.m * (1.0 - q) * (d - 1)
-                        - (1.0 - h) * (s.m + 1)
-                    )
-                    trackers["type2_drift_m"].add(mid - s.drift_f, bits, s.site)
-                    if cond_ok:
-                        bound = db.type2_bound
-                        trackers["type2_drift"].add(bound - s.drift_f, bits, s.site)
-                    else:
-                        bound = mid
-            if keep_rows:
-                margin = None if bound is None else bound - s.drift_f
-                rows.append((bits, s.vtype, s.m, s.drift_f, bound, margin))
+    rows: list[tuple[str, int, int, float, float | None, float | None]] = []
+    if keep_rows:
+        # sites were added in ascending order: a stable sort by state gives
+        # the (state, site) order
+        states, vtype, m, drift_f, *bound = (np.concatenate(c) for c in zip(*row_parts))
+        order = np.argsort(states, kind="stable")
+        bits = np.array([_bits(state, n) for state in range(full)], dtype=object)
+        cols = [bits[states], vtype, m, drift_f]
+        cols += [bound[0], bound[0] - drift_f] if regular else [np.full(n_sites, None)] * 2
+        rows = list(zip(*(c[order].tolist() for c in cols)))
 
-    stats = tuple(t.stat() for t in trackers.values() if t.count > 0)
+    stats = tuple(t.stat(n) for t in trackers.values() if t.count > 0)
     all_hold = all(st.min_margin >= -_TOL for st in stats)
+    max_cond = -cond_max.min_margin
     return ScanReport(
         d,
         q,

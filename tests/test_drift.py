@@ -1,14 +1,17 @@
 """Tests for the exact typed-zero drift enumeration and bound scans."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle_utils import scan_oracle, site_update
 
-from bslab.bounds import choose_h, q0
+from bslab.bounds import choose_h, cond_h_upper, q0
 from bslab.drift import (
     TypedCensus,
+    _Enumerator,
     classify_zeros,
     exact_drift,
     increment_bound,
@@ -322,3 +325,60 @@ def test_drift_count_identity_property(bits, q, h):
     assert rep.exact_drift == pytest.approx(rep.drift_n - h * rep.drift_n2, abs=1e-12)
     for key, ok in rep.passes.items():
         assert ok == (rep.margins[key] >= -1e-9)
+
+
+_ORACLE_SCANS = {
+    "cycle:10": (generate("cycle", 10), 0.3, choose_h(0.3, 2)),
+    "torus2d:3x3": (generate("torus2d", 3, 3), 0.15, choose_h(0.15, 4)),
+    "path:7": (generate("path", 7), 0.3, 0.2),
+    "cycle:5-above-ceiling": (generate("cycle", 5), 0.3, min(0.95, cond_h_upper(0.3, 2) + 0.05)),
+    "complete:5": (generate("complete", 5), 0.1, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_SCANS))
+def test_scan_matches_scalar_oracle(case):
+    """The array scan reproduces the scalar scan bit for bit: every
+    field, worst (config, site) of every check, and every row."""
+    g, q, h = _ORACLE_SCANS[case]
+    params = ModelParams.from_q(q)
+    expected = scan_oracle(g, params, h)
+    rep = verify_all_bounds(g, params, h, keep_rows=True)
+    assert rep == expected
+    # repr also tells -0.0 from 0.0 and numpy scalars from Python ones
+    assert repr(rep) == repr(expected)
+    lean = verify_all_bounds(g, params, h, keep_rows=False)
+    assert repr(lean) == repr(dataclasses.replace(expected, rows=()))
+
+
+_ORACLE_GRAPHS = {"cycle:8": generate("cycle", 8), "torus2d:3x3": generate("torus2d", 3, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_ORACLE_GRAPHS)),
+    bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
+    q=st.floats(min_value=0.01, max_value=0.99),
+    h=st.floats(min_value=0.0, max_value=0.99),
+)
+def test_exact_drift_sites_match_scalar_oracle(name, bits, q, h):
+    g = _ORACLE_GRAPHS[name]
+    n = g.num_vertices
+    state = bits & ((1 << n) - 1)
+    assume(state != (1 << n) - 1)
+    c = np.array([(state >> v) & 1 for v in range(n)], dtype=np.int8)
+    params = ModelParams.from_q(q)
+    rep = exact_drift(g, c, params, h)
+    enum = _Enumerator(g, params, h)
+    expected = tuple(site_update(enum, state, v) for v in range(n) if not (state >> v) & 1)
+    assert rep.sites == expected
+    assert repr(rep.sites) == repr(expected)
+
+
+def test_exact_drift_rejects_graphs_wider_than_int64_states():
+    c = np.ones(64, dtype=np.int8)
+    c[0] = 0
+    with pytest.raises(BudgetExceeded):
+        exact_drift(generate("cycle", 64), c, ModelParams(p=0.5), 0.1)
+    c63 = c[:63]
+    assert exact_drift(generate("cycle", 63), c63, ModelParams(p=0.5), 0.1).census == TypedCensus(1, 0)
