@@ -613,26 +613,11 @@ class BlockGrid:
             return (2 * k, 2 * k + 1)
         return (2 * k - 1, 2 * k)
 
-    def in_range(self, k: int, n: int) -> bool:
-        lo, hi = self.positions(k, n)
-        return 0 <= lo and hi <= len(self.chain) - 1
-
-    def k_range(self, n: int) -> range:
-        m = len(self.chain)
-        if n % 2 == 0:
-            return range(0, (m - 2) // 2 + 1)
-        return range(1, (m - 1) // 2 + 1)
-
     def block(self, k: int, n: int) -> Block2:
-        if not self.in_range(k, n):
-            raise ValueError(f"block ({k},{n}) leaves the chain")
         lo, hi = self.positions(k, n)
+        if lo < 0 or hi > len(self.chain) - 1:
+            raise ValueError(f"block ({k},{n}) leaves the chain")
         return Block2(self.chain[lo], self.chain[hi], n + 1, self.L)
-
-    def descendants(self, k: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        if n % 2 == 0:
-            return ((k, n + 1), (k + 1, n + 1))
-        return ((k - 1, n + 1), (k, n + 1))
 
 
 _FLAVORS = ("two_block", "four_block")

@@ -7,6 +7,11 @@ kept (they cancel in the generator, so they do not affect either flavor).
 The continuous-time stationary law reweights the embedded one by the
 expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
+
+The time-t checks never form the dense 2^n x 2^n P_t: they apply it to a
+set's two indicator columns, by t sparse kernel products (embedded) or by
+`expm_multiply` on t Q, Q = diag(r)(P - I) (continuous; Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 2011), so memory stays O(nnz + 2^n).
 """
 from __future__ import annotations
 
@@ -25,7 +30,6 @@ __all__ = [
     "build_kernel",
     "stationary",
     "marginals",
-    "transition_matrix_t",
     "balance_residual",
     "escape_entry_check",
     "EscapeEntryReport",
@@ -33,6 +37,10 @@ __all__ = [
     "GeomTailFit",
     "stationary_rows",
 ]
+
+_STATIONARY_TOL = 1e-10  # l1 bound on the power loop's one-step change
+_STATIONARY_MAX_ITER = 2_000_000
+_TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
 
 
 @dataclass(frozen=True)
@@ -120,13 +128,8 @@ class StationaryDist:
     residual: float
 
 
-def stationary(
-    tm: TransitionModel,
-    flavor: str = "embedded",
-    tol: float = 1e-10,
-    max_iter: int = 2_000_000,
-) -> StationaryDist:
-    """Stationary law by sparse power iteration (residual in l1 below tol).
+def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
+    """Stationary law by sparse power iteration (l1 residual below 1e-10).
 
     flavor="embedded" solves pi P = pi for the jump chain;
     flavor="continuous" reweights by expected holding times.
@@ -140,20 +143,20 @@ def stationary(
         return StationaryDist(pi, flavor, 0.0)
     pi = np.full(size, 1.0 / size)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_STATIONARY_MAX_ITER):
         nxt = pi @ tm.kernel
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
-        if residual < tol:
+        if residual < _STATIONARY_TOL:
             if flavor == "embedded":
                 break
             # the reweighted flux residual is residual / sum(pi/r); keep
-            # iterating until that, not the embedded residual, meets tol
-            if residual / float((pi / tm.exit_rates).sum()) < tol:
+            # iterating until that, not the embedded residual, meets the tolerance
+            if residual / float((pi / tm.exit_rates).sum()) < _STATIONARY_TOL:
                 break
     else:
-        raise RuntimeError(f"power iteration did not reach tol={tol}")
+        raise RuntimeError(f"power iteration did not reach tol={_STATIONARY_TOL}")
     if flavor == "continuous":
         weights = pi / tm.exit_rates
         pi = weights / weights.sum()
@@ -198,51 +201,46 @@ def marginals(sd: StationaryDist, g: Graph) -> Marginals:
     return Marginals(vertex_one, ones_hist, zeros_tail, n)
 
 
-def transition_matrix_t(tm: TransitionModel, t: float, flavor: str, tail: float = 1e-12) -> np.ndarray:
-    """Dense t-step (embedded) or time-t (continuous) transition matrix.
+def _apply_t(tm: TransitionModel, F: np.ndarray, t: float, flavor: str) -> np.ndarray:
+    """P_t F for a vector or a block of columns F, without forming P_t.
 
-    The continuous flavor uses uniformization at rate n with the Poisson
-    series truncated once the neglected tail mass is below `tail`.
+    Embedded: t sparse kernel products (t a nonnegative integer).
+    Continuous: expm(t Q) F with Q = diag(exit_rates)(P - I).
     """
-    from scipy import stats  # slow to import; only this path needs it
-
-    dense = tm.kernel.toarray()
+    F = np.asarray(F, dtype=np.float64)
+    if t < 0 or (flavor == "embedded" and t != int(t)):
+        raise ValueError("t must be nonnegative, and an integer for the embedded flavor")
     if flavor == "embedded":
-        if t != int(t) or t < 0:
-            raise ValueError("embedded flavor needs a nonnegative integer t")
-        return np.linalg.matrix_power(dense, int(t))
+        for _ in range(int(t)):
+            F = tm.kernel @ F
+        return F
     if flavor != "continuous":
         raise ValueError("flavor must be 'embedded' or 'continuous'")
-    n = tm.graph.num_vertices
-    lam = float(n)
-    size = dense.shape[0]
-    rate_frac = tm.exit_rates / lam
-    p_unif = dense * rate_frac[:, None]
-    p_unif[np.arange(size), np.arange(size)] += 1.0 - rate_frac
-    mu = lam * float(t)
-    if mu == 0:
-        return np.eye(size)
-    k_hi = int(stats.poisson.ppf(1.0 - tail / 2, mu)) + 2
-    pmf = stats.poisson.pmf(np.arange(k_hi + 1), mu)
-    if 1.0 - pmf.sum() > tail:
-        raise RuntimeError("uniformization truncation failed to meet tail bound")
-    out = pmf[0] * np.eye(size)
-    acc = np.eye(size)
-    for k in range(1, k_hi + 1):
-        acc = acc @ p_unif
-        out += pmf[k] * acc
-    return out
+    from scipy.sparse.linalg import expm_multiply  # slow to import; only this path needs it
+
+    q = sp.diags(tm.exit_rates) @ (tm.kernel - sp.identity(tm.kernel.shape[0], format="csr"))
+    return expm_multiply(float(t) * q, F)
+
+
+def _escape_entry(tm: TransitionModel, a_mask, t: float, flavor: str):
+    """The state set A as a mask, and per state the time-t mass P_t(x, A^c)
+    (escape) and P_t(x, A) (entry), from one action on [1_{A^c}, 1_A]."""
+    a_mask = np.asarray(a_mask, dtype=bool)
+    size = tm.kernel.shape[0]
+    if a_mask.shape != (size,):
+        raise ValueError(f"A must be a mask of length 2^n = {size}, got shape {a_mask.shape}")
+    pt = _apply_t(tm, np.column_stack([~a_mask, a_mask]), t, flavor)
+    return a_mask, pt[:, 0], pt[:, 1]
 
 
 def balance_residual(
     tm: TransitionModel, sd: StationaryDist, a_mask: np.ndarray, t: float, flavor: str
 ) -> float:
     """|flux out of A - flux into A| under the time-t transition law."""
-    a_mask = np.asarray(a_mask, dtype=bool)
-    m = transition_matrix_t(tm, t, flavor)
+    a_mask, escape, entry = _escape_entry(tm, a_mask, t, flavor)
     pi = sd.probs
-    out_flux = float(pi[a_mask] @ m[np.ix_(a_mask, ~a_mask)].sum(axis=1))
-    in_flux = float(pi[~a_mask] @ m[np.ix_(~a_mask, a_mask)].sum(axis=1))
+    out_flux = float(pi[a_mask] @ escape[a_mask])
+    in_flux = float(pi[~a_mask] @ entry[~a_mask])
     return abs(out_flux - in_flux)
 
 
@@ -274,12 +272,11 @@ def escape_entry_check(
     c is the worst-case time-t escape mass from A, eps the worst-case
     entry mass from outside; c = 0 makes the bound vacuous.
     """
-    a_mask = np.asarray(a_mask, dtype=bool)
+    a_mask, escape, entry = _escape_entry(tm, a_mask, t, flavor)
     if not a_mask.any() or a_mask.all():
         raise ValueError("A must be a proper nonempty subset of states")
-    m = transition_matrix_t(tm, t, flavor)
-    c = float(m[np.ix_(a_mask, ~a_mask)].sum(axis=1).min())
-    eps = float(m[np.ix_(~a_mask, a_mask)].sum(axis=1).max())
+    c = float(escape[a_mask].min())
+    eps = float(entry[~a_mask].max())
     pi_a = float(sd.probs[a_mask].sum())
     if c <= 0.0:
         return EscapeEntryReport(c, eps, pi_a, np.inf, False, True)
@@ -296,15 +293,15 @@ class GeomTailFit:
     rms: float
 
 
-def tail_geometric_fit(sd: StationaryDist, g: Graph, floor: float = 1e-14) -> GeomTailFit:
+def tail_geometric_fit(sd: StationaryDist, g: Graph) -> GeomTailFit:
     """Least-squares geometric fit of the zero-count tail.
 
     Fits log P(#zeros > k) ~ log c1 - c2 k over the ks whose tail mass
-    exceeds `floor`; needs at least three usable points.
+    exceeds 1e-14; needs at least three usable points.
     """
     mg = marginals(sd, g)
     tail = mg.zeros_tail
-    ks = np.flatnonzero(tail > floor)
+    ks = np.flatnonzero(tail > _TAIL_FLOOR)
     if len(ks) < 3:
         raise ValueError("fewer than three usable tail points")
     y = np.log(tail[ks])

@@ -123,8 +123,6 @@ def _replica_batches(
         batch_idx = 0
 
     for _ in range(total):
-        if absorbed:
-            break
         if cursor == _CHUNK:
             upick = rng.random(_CHUNK)
             umark = rng.random((_CHUNK, kmax))
@@ -197,10 +195,6 @@ def _replica_batches(
     return bits_rows, hist_rows, tuple(notes)
 
 
-def _worker(args) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    return _replica_batches(*args)
-
-
 def run_batches(
     g: Graph,
     params: ModelParams,
@@ -240,7 +234,7 @@ def run_batches(
         results = [_replica_batches(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=min(n_jobs, n_replicas)) as ex:
-            results = list(ex.map(_worker, args))
+            results = list(ex.map(_replica_batches, *zip(*args)))
     bits = np.vstack([r[0] for r in results])
     hist = np.vstack([r[1] for r in results])
     notes: list[str] = []

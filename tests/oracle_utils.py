@@ -238,3 +238,12 @@ def scan_oracle(g, params, h: float, keep_rows: bool = True) -> ScanReport:
         d, q, h, not regular, full, n_sites, stats, all_hold, max_cond < 0.0, max_cond,
         -max_cond, tuple(rows), tuple(notes),
     )
+
+
+def dense_transition_t(tm, t: float) -> np.ndarray:
+    """Dense time-t transition matrix expm(t Q), Q = diag(exit_rates)(P - I),
+    by scipy's dense Pade scaling and squaring."""
+    from scipy.linalg import expm
+
+    P = tm.kernel.toarray()
+    return expm(t * (np.diag(tm.exit_rates) @ (P - np.eye(len(P)))))

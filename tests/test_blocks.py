@@ -477,26 +477,26 @@ def test_block_grid_geometry():
     grid = BlockGrid(tuple(range(10)), 1.0)
     assert grid.positions(2, 0) == (4, 5)
     assert grid.positions(2, 1) == (3, 4)
-    assert list(grid.k_range(0)) == [0, 1, 2, 3, 4]
-    assert list(grid.k_range(1)) == [1, 2, 3, 4]
     for n in range(4):
-        for k in grid.k_range(n):
-            assert grid.in_range(k, n)
+        for k in (range(0, 5) if n % 2 == 0 else range(1, 5)):
             blk = grid.block(k, n)
             assert blk.level == n + 1
             lo, hi = grid.positions(k, n)
             assert (blk.x, blk.y) == (lo, hi)
-            # each descendant shares exactly one chain position
-            own = set(grid.positions(k, n))
-            for kd, nd in grid.descendants(k, n):
-                if grid.in_range(kd, nd):
-                    assert len(own & set(grid.positions(kd, nd))) == 1
     with pytest.raises(ValueError):
         grid.block(5, 0)
     with pytest.raises(ValueError):
         BlockGrid((0,), 1.0)
     with pytest.raises(ValueError):
         BlockGrid((0, 1), 0.0)
+
+
+def test_block_grid_rejects_blocks_off_either_end():
+    grid = BlockGrid(tuple(range(10)), 1.0)
+    for k, n in ((0, 1), (-1, 0), (5, 0), (5, 1), (0, 3)):
+        with pytest.raises(ValueError, match="leaves the chain"):
+            grid.block(k, n)
+    assert (grid.block(1, 1).x, grid.block(4, 0).y) == (1, 9)
 
 
 def test_chain_to_percolation_all_open():

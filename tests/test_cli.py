@@ -306,3 +306,19 @@ def test_console_script_entry_point(tmp_path):
                   "--out", str(tmp_path / "exact"))
         assert res.returncode == 2
         assert "error:" in res.stderr
+
+
+def test_import_loads_no_slow_scipy_modules():
+    """`import bslab` and `bslab.cli` leave the slow-to-import modules to the
+    code paths that need them, so CLI start-up stays short."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bslab.__file__)))
+    slow = ["scipy.stats", "scipy.sparse.linalg", "scipy.linalg", "mpmath"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bslab, bslab.cli; "
+        f"print(bslab.cli.__file__); print([m for m in {slow!r} if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    where, loaded = res.stdout.splitlines()
+    assert where.startswith(src)
+    assert loaded == "[]"

@@ -6,6 +6,7 @@ import pytest
 from bslab.dynamics import ModelParams
 from bslab.exact import (
     Marginals,
+    _apply_t,
     balance_residual,
     build_kernel,
     escape_entry_check,
@@ -13,10 +14,10 @@ from bslab.exact import (
     stationary,
     stationary_rows,
     tail_geometric_fit,
-    transition_matrix_t,
 )
 from bslab.graphs import generate
 from bslab.rng import substream
+from oracle_utils import dense_transition_t
 
 
 def _model(n=5, p=0.3, allones="resample", family="cycle"):
@@ -93,19 +94,53 @@ def test_marginals_consistency():
 
 def test_transition_matrix_t_semigroup():
     g, tm = _model(n=4, p=0.4)
-    m1 = transition_matrix_t(tm, 0.7, "continuous")
-    m2 = transition_matrix_t(tm, 1.4, "continuous")
+    m1 = _apply_t(tm, np.eye(16), 0.7, "continuous")
+    m2 = _apply_t(tm, np.eye(16), 1.4, "continuous")
     assert np.allclose(m1.sum(axis=1), 1.0, atol=1e-10)
     assert np.allclose(m1 @ m1, m2, atol=1e-9)
-    m0 = transition_matrix_t(tm, 1e-12, "continuous")
+    m0 = _apply_t(tm, np.eye(16), 1e-12, "continuous")
     assert np.allclose(m0, np.eye(16), atol=1e-9)
 
 
 def test_transition_matrix_embedded_power():
     g, tm = _model(n=4, p=0.4)
     P = tm.kernel.toarray()
-    m3 = transition_matrix_t(tm, 3, "embedded")
+    m3 = _apply_t(tm, np.eye(16), 3, "embedded")
     assert np.allclose(m3, np.linalg.matrix_power(P, 3), atol=1e-12)
+
+
+@pytest.mark.parametrize("allones", ["resample", "frozen"])
+@pytest.mark.parametrize("family", ["cycle", "torus2d"])
+def test_apply_t_matches_dense_expm(family, allones):
+    """The vector action on the identity is the dense matrix exponential."""
+    _, tm = _model(n=5, p=0.3, allones=allones, family=family)
+    size = tm.kernel.shape[0]
+    for t in (0.0, 0.05, 0.7, 2.5):
+        assert np.abs(_apply_t(tm, np.eye(size), t, "continuous") - dense_transition_t(tm, t)).max() < 1e-12
+
+
+def test_time_t_checks_scale_to_two_to_the_fourteen_states():
+    """cycle:14 (16384 states): a dense P_t alone would take 2 GiB."""
+    g = generate("cycle", 14)
+    tm = build_kernel(g, ModelParams(p=0.3))
+    sd = stationary(tm, flavor="continuous")
+    a_mask = substream(71, 0).random(1 << 14) < 0.5
+    assert balance_residual(tm, sd, a_mask, 1.0, "continuous") < 1e-8
+    rep = escape_entry_check(tm, sd, a_mask, 1.0, "continuous")
+    assert not rep.vacuous
+    assert 0.0 < rep.escape_c <= 1.0 and 0.0 < rep.entry_eps <= 1.0
+    assert rep.bound == rep.entry_eps / rep.escape_c
+
+
+@pytest.mark.parametrize("check", [balance_residual, escape_entry_check])
+@pytest.mark.parametrize("length", [8, 17])
+def test_time_t_checks_reject_masks_of_the_wrong_length(check, length):
+    g, tm = _model(n=4, p=0.4)
+    sd = stationary(tm, flavor="continuous")
+    a_mask = np.zeros(length, dtype=bool)
+    a_mask[:3] = True
+    with pytest.raises(ValueError, match="length 2\\^n = 16"):
+        check(tm, sd, a_mask, 1.0, "continuous")
 
 
 def test_balance_residual_small_over_random_sets():
