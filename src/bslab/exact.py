@@ -8,6 +8,11 @@ The continuous-time stationary law reweights the embedded one by the
 expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
 
+`stationary` runs power iteration as a row-gather product on P^T.  Its
+`residual` is the l1 change of the last power step for the embedded
+flavor, and the l1 flux residual |(pi r) P - pi r|_1 of the reweighted law
+for the continuous one.
+
 The time-t checks never form the dense 2^n x 2^n P_t: they apply it to a
 set's two indicator columns, by t sparse kernel products (embedded) or by
 `expm_multiply` on t Q, Q = diag(r)(P - I) (continuous; Al-Mohy & Higham,
@@ -15,6 +20,7 @@ SIAM J. Sci. Comput. 33, 2011), so memory stays O(nnz + 2^n).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +44,13 @@ __all__ = [
     "stationary_rows",
 ]
 
-_STATIONARY_TOL = 1e-10  # l1 bound on the power loop's one-step change
+# stopping tolerance in l1: on the last power step's change (embedded), and
+# on that change over sum(pi/r), the flux residual of the reweighted law
+# (continuous)
+_STATIONARY_TOL = 1e-10
 _STATIONARY_MAX_ITER = 2_000_000
+_MAX_VERTICES = 30  # states and kernel indices are int32
+_BYTES_PER_ENTRY = 16 + 12  # int32 row, col, float64 value (COO) + CSR index, value
 _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
 
 
@@ -63,59 +74,84 @@ def _nbhd_patterns(g: Graph, params: ModelParams, v: int):
     clear = 0
     for u in nbhd:
         clear |= 1 << u
-    targets = np.zeros(1 << k, dtype=np.int64)
+    targets = np.zeros(1 << k, dtype=np.int32)
     weights = np.ones(1 << k, dtype=np.float64)
     for i, u in enumerate(nbhd):
         hi = (np.arange(1 << k) >> i) & 1
-        targets |= (hi.astype(np.int64)) << u
+        targets |= hi.astype(np.int32) << u
         weights *= np.where(hi, params.p, params.q)
     return clear, targets, weights
+
+
+def _kernel_entries(g: Graph, allones: str) -> int:
+    """COO entries of the kernel, from vertex degrees alone: each site v
+    contributes 2^|N[v]| outcomes for each of the 2^(n-1) states with v zero,
+    and the all-ones row its own outcomes (resample) or one self-loop."""
+    n = g.num_vertices
+    outcomes = [1 << len(closed_neighbourhood(g, v)) for v in range(n)]
+    ones_row = sum(outcomes) if allones == "resample" else 1
+    return (1 << (n - 1)) * sum(outcomes) + ones_row
 
 
 def build_kernel(
     g: Graph, params: ModelParams, allones: str = "resample", budget: int = 20
 ) -> TransitionModel:
-    """Assemble the sparse embedded kernel for all 2^n states."""
+    """Assemble the sparse embedded kernel for all 2^n states.
+
+    The int32 COO triplets are allocated once, at their known length, and
+    filled site by site; the build refuses to start when its estimated
+    peak (16 B per COO entry plus 12 B per CSR entry) exceeds physical memory.
+    """
     n = g.num_vertices
     if n > budget:
         raise ValueError(f"state space 2^{n} exceeds budget 2^{budget}")
+    if n > _MAX_VERTICES:
+        raise ValueError(f"states are int32: n = {n} exceeds {_MAX_VERTICES} vertices")
     if allones not in ("resample", "frozen"):
         raise ValueError("allones must be 'resample' or 'frozen'")
+    entries = _kernel_entries(g, allones)
+    need = entries * _BYTES_PER_ENTRY
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"kernel of {entries} entries needs about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
     size = 1 << n
-    states = np.arange(size, dtype=np.int64)
-    zero_counts = np.zeros(size, dtype=np.int64)
+    states = np.arange(size, dtype=np.int32)
+    zero_counts = np.zeros(size, dtype=np.int32)
     for x in range(n):
         zero_counts += 1 - ((states >> x) & 1)
     pats = [_nbhd_patterns(g, params, v) for v in range(n)]
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    rows = np.empty(entries, dtype=np.int32)
+    cols = np.empty(entries, dtype=np.int32)
+    vals = np.empty(entries, dtype=np.float64)
+    at = 0
     for v in range(n):
         clear, targets, weights = pats[v]
         v_zero = ((states >> v) & 1) == 0
         src = states[v_zero]
         share = 1.0 / zero_counts[v_zero]
-        base = src & ~clear
-        rows.append(np.repeat(src, len(targets)))
-        cols.append((base[:, None] | targets[None, :]).ravel())
-        vals.append((share[:, None] * weights[None, :]).ravel())
+        shape = (len(src), len(targets))
+        end = at + shape[0] * shape[1]
+        rows[at:end].reshape(shape)[...] = src[:, None]
+        np.bitwise_or((src & ~clear)[:, None], targets, out=cols[at:end].reshape(shape))
+        np.multiply(share[:, None], weights, out=vals[at:end].reshape(shape))
+        at = end
     ones_state = size - 1
     if allones == "resample":
         for v in range(n):
             clear, targets, weights = pats[v]
-            base = ones_state & ~clear
-            rows.append(np.full(len(targets), ones_state, dtype=np.int64))
-            cols.append(base | targets)
-            vals.append(weights / n)
+            end = at + len(targets)
+            rows[at:end] = ones_state
+            np.bitwise_or(ones_state & ~clear, targets, out=cols[at:end])
+            np.divide(weights, n, out=vals[at:end])
+            at = end
     else:
-        rows.append(np.array([ones_state], dtype=np.int64))
-        cols.append(np.array([ones_state], dtype=np.int64))
-        vals.append(np.array([1.0]))
-    kernel = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
+        rows[at] = cols[at] = ones_state
+        vals[at] = 1.0
+    kernel = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     exit_rates = zero_counts.astype(np.float64)
     exit_rates[ones_state] = float(n) if allones == "resample" else 0.0
     return TransitionModel(g, params, allones, kernel, exit_rates)
@@ -129,10 +165,13 @@ class StationaryDist:
 
 
 def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
-    """Stationary law by sparse power iteration (l1 residual below 1e-10).
+    """Stationary law by sparse power iteration.
 
-    flavor="embedded" solves pi P = pi for the jump chain;
-    flavor="continuous" reweights by expected holding times.
+    flavor="embedded" solves pi P = pi for the jump chain; `residual` is the
+    l1 change of the last power step (below 1e-10).  flavor="continuous"
+    reweights that law by the expected holding times 1/r and reports the
+    l1 flux residual |(pi r) P - pi r|_1 of the reweighted law.  Each step
+    is a row-gather product on P^T, transposed once per call.
     """
     if flavor not in ("embedded", "continuous"):
         raise ValueError("flavor must be 'embedded' or 'continuous'")
@@ -141,10 +180,11 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
         pi = np.zeros(size)
         pi[size - 1] = 1.0
         return StationaryDist(pi, flavor, 0.0)
+    kt = tm.kernel.T.tocsr()
     pi = np.full(size, 1.0 / size)
     residual = np.inf
     for _ in range(_STATIONARY_MAX_ITER):
-        nxt = pi @ tm.kernel
+        nxt = kt @ pi
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
@@ -160,7 +200,8 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
     if flavor == "continuous":
         weights = pi / tm.exit_rates
         pi = weights / weights.sum()
-        residual_ct = float(np.abs((pi * tm.exit_rates) @ tm.kernel - pi * tm.exit_rates).sum())
+        flux = pi * tm.exit_rates
+        residual_ct = float(np.abs(kt @ flux - flux).sum())
         return StationaryDist(pi, flavor, residual_ct)
     return StationaryDist(pi, flavor, residual)
 

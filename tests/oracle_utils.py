@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from bslab.bounds import drift_bounds
 from bslab.drift import (
@@ -11,6 +12,13 @@ from bslab.drift import (
     _Enumerator,
     _TOL,
     increment_bound,
+)
+from bslab.exact import (
+    _STATIONARY_MAX_ITER,
+    _STATIONARY_TOL,
+    StationaryDist,
+    TransitionModel,
+    _nbhd_patterns,
 )
 from bslab.percolation import StripField, level_size
 
@@ -247,3 +255,75 @@ def dense_transition_t(tm, t: float) -> np.ndarray:
 
     P = tm.kernel.toarray()
     return expm(t * (np.diag(tm.exit_rates) @ (P - np.eye(len(P)))))
+
+
+def kernel_oracle(g, params, allones: str = "resample") -> TransitionModel:
+    """The embedded kernel from per-site int64 COO pieces, concatenated and
+    converted by `coo_matrix`: the reference for `build_kernel`'s int32
+    fill of preallocated arrays."""
+    n = g.num_vertices
+    size = 1 << n
+    states = np.arange(size, dtype=np.int64)
+    zero_counts = np.zeros(size, dtype=np.int64)
+    for x in range(n):
+        zero_counts += 1 - ((states >> x) & 1)
+    pats = [_nbhd_patterns(g, params, v) for v in range(n)]
+
+    rows, cols, vals = [], [], []
+    for v in range(n):
+        clear, targets, weights = pats[v]
+        targets = targets.astype(np.int64)
+        v_zero = ((states >> v) & 1) == 0
+        src = states[v_zero]
+        share = 1.0 / zero_counts[v_zero]
+        base = src & ~clear
+        rows.append(np.repeat(src, len(targets)))
+        cols.append((base[:, None] | targets[None, :]).ravel())
+        vals.append((share[:, None] * weights[None, :]).ravel())
+    ones_state = size - 1
+    if allones == "resample":
+        for v in range(n):
+            clear, targets, weights = pats[v]
+            base = ones_state & ~clear
+            rows.append(np.full(len(targets), ones_state, dtype=np.int64))
+            cols.append(base | targets.astype(np.int64))
+            vals.append(weights / n)
+    else:
+        rows.append(np.array([ones_state], dtype=np.int64))
+        cols.append(np.array([ones_state], dtype=np.int64))
+        vals.append(np.array([1.0]))
+    kernel = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    ).tocsr()
+    exit_rates = zero_counts.astype(np.float64)
+    exit_rates[ones_state] = float(n) if allones == "resample" else 0.0
+    return TransitionModel(g, params, allones, kernel, exit_rates)
+
+
+def stationary_oracle(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
+    """Power iteration as the row-vector product pi @ P (a column scatter
+    over the transpose view), with the stopping rule of `stationary`."""
+    size = tm.kernel.shape[0]
+    if tm.allones == "frozen":
+        pi = np.zeros(size)
+        pi[size - 1] = 1.0
+        return StationaryDist(pi, flavor, 0.0)
+    pi = np.full(size, 1.0 / size)
+    for _ in range(_STATIONARY_MAX_ITER):
+        nxt = pi @ tm.kernel
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if residual < _STATIONARY_TOL and (
+            flavor == "embedded"
+            or residual / float((pi / tm.exit_rates).sum()) < _STATIONARY_TOL
+        ):
+            break
+    else:
+        raise RuntimeError("power iteration did not converge")
+    if flavor == "continuous":
+        weights = pi / tm.exit_rates
+        pi = weights / weights.sum()
+        residual = float(np.abs((pi * tm.exit_rates) @ tm.kernel - pi * tm.exit_rates).sum())
+    return StationaryDist(pi, flavor, residual)
