@@ -17,7 +17,6 @@ its neighbours resampled) is included for reference experiments.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "ModelParams",
     "GraphicalConstruction",
     "ReplayResult",
-    "SimulationResult",
     "parse_configuration",
     "format_configuration",
     "all_ones",
@@ -39,7 +37,6 @@ __all__ = [
     "sample_graphical",
     "sample_graphical_batch",
     "replay",
-    "simulate_continuous",
     "classical_fitness_samples",
     "event_log_rows",
 ]
@@ -136,8 +133,9 @@ def sample_graphical(
     """Sample the graphical construction on (0, horizon].
 
     Each vertex draws from its own substream in the order
-    (gap, marks, gap, marks, ...), matching the lazy event-driven
-    consumption in simulate_continuous bit for bit.
+    (gap, marks, gap, marks, ...), the order in which an event-driven
+    simulation consumes its clocks, so one that draws lazily from the same
+    substreams reproduces replay(sample_graphical(...)) bit for bit.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -279,7 +277,7 @@ def replay(
     """
     if allones not in ALLONES_SEMANTICS:
         raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
-    config = np.asarray(config0, dtype=np.uint8).copy()
+    config = np.asarray(config0, dtype=np.uint8)
     if config.shape != (g.num_vertices,):
         raise ValueError("configuration size does not match graph")
     ts, vs, rows = _merged_events(gc)
@@ -290,87 +288,35 @@ def replay(
         keep = (ts > t0) & (ts <= t1)
         ts, vs, rows = ts[keep], vs[keep], rows[keep]
     snaps = sorted(float(s) for s in (snapshot_times if snapshot_times is not None else ()))
-    nbhds = [closed_neighbourhood(g, x) for x in range(g.num_vertices)]
-    n_ones = int(config.sum())
+    n = g.num_vertices
+    resample = allones == "resample"
+    nbhds = [closed_neighbourhood(g, x) for x in range(n)]
+    # Python lists and ints in the event loop: indexing a numpy scalar
+    # costs more than the comparison or addition done with it
+    cfg = config.tolist()
+    n_ones = sum(cfg)
     log: list[tuple[float, int, bool, np.ndarray]] = []
     snapshots: list[np.ndarray] = []
     applied = muted = 0
     si = 0
-    for t, x, r in zip(ts, vs, rows):
+    for t, x, r in zip(ts.tolist(), vs.tolist(), rows.tolist()):
         while si < len(snaps) and snaps[si] < t:
-            snapshots.append(config.copy())
+            snapshots.append(np.array(cfg, dtype=np.uint8))
             si += 1
-        fire = config[x] == 0 or (allones == "resample" and n_ones == g.num_vertices)
+        fire = cfg[x] == 0 or (resample and n_ones == n)
         if fire:
-            nb = list(nbhds[x])
-            row = gc.marks[x][r]
-            n_ones += int(row.sum()) - int(config[nb].sum())
-            config[nb] = row
+            for y, b in zip(nbhds[x], gc.marks[x][r].tolist()):
+                n_ones += b - cfg[y]
+                cfg[y] = b
             applied += 1
         else:
             muted += 1
         if collect_log:
-            log.append((float(t), int(x), bool(fire), gc.marks[x][r]))
+            log.append((t, x, fire, gc.marks[x][r]))
     while si < len(snaps):
-        snapshots.append(config.copy())
+        snapshots.append(np.array(cfg, dtype=np.uint8))
         si += 1
-    return ReplayResult(config, log, snapshots, applied, muted)
-
-
-@dataclass
-class SimulationResult:
-    final: np.ndarray
-    horizon: float
-    sampled_events: int
-    applied_events: int
-    muted_events: int
-
-
-def simulate_continuous(
-    g: Graph,
-    config0: np.ndarray,
-    params: ModelParams,
-    horizon: float,
-    seed: int,
-    replica: int = 0,
-    allones: str = "resample",
-) -> SimulationResult:
-    """Event-driven simulation, never materializing the full construction.
-
-    Consumes the same per-vertex substreams as sample_graphical, in the
-    same order, so for equal (seed, replica) the final configuration is
-    bit-identical to replay(sample_graphical(...)).
-    """
-    if allones not in ALLONES_SEMANTICS:
-        raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    config = np.asarray(config0, dtype=np.uint8).copy()
-    if config.shape != (g.num_vertices,):
-        raise ValueError("configuration size does not match graph")
-    nbhds = [list(closed_neighbourhood(g, x)) for x in range(g.num_vertices)]
-    gens = [substream(seed, replica, x) for x in range(g.num_vertices)]
-    heap: list[tuple[float, int]] = []
-    for x in range(g.num_vertices):
-        t = gens[x].exponential()
-        if t <= horizon:
-            heapq.heappush(heap, (t, x))
-    n_ones = int(config.sum())
-    sampled = applied = muted = 0
-    while heap:
-        t, x = heapq.heappop(heap)
-        sampled += 1
-        row = (gens[x].random(len(nbhds[x])) < params.p).astype(np.uint8)
-        if config[x] == 0 or (allones == "resample" and n_ones == g.num_vertices):
-            n_ones += int(row.sum()) - int(config[nbhds[x]].sum())
-            config[nbhds[x]] = row
-            applied += 1
-        else:
-            muted += 1
-        t2 = t + gens[x].exponential()
-        if t2 <= horizon:
-            heapq.heappush(heap, (t2, x))
-    return SimulationResult(config, float(horizon), sampled, applied, muted)
+    return ReplayResult(np.array(cfg, dtype=np.uint8), log, snapshots, applied, muted)
 
 
 def event_log_rows(g: Graph, result: ReplayResult) -> list[tuple[str, str, str, str]]:

@@ -85,15 +85,19 @@ def _replica_batches(
     flavor: str,
     allones: str,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    # Python lists, ints and floats in the step loop: indexing a numpy
+    # scalar costs more than the arithmetic done with it.  A float is the
+    # same IEEE double as a float64, so the sums do not depend on which.
     rng = substream(seed, 29, replica)
     n = g.num_vertices
     p = params.p
-    nbhds = [list(closed_neighbourhood(g, x)) for x in range(n)]
+    nbhds = [tuple(enumerate(closed_neighbourhood(g, x))) for x in range(n)]
     kmax = g.max_degree + 1
     resample = allones == "resample"
-    continuous = flavor == "continuous"
+    # holding-time weight of a state with r zeros (r = 0: all-ones, n clocks)
+    weight = [1.0 / (r or n) if flavor == "continuous" else 1.0 for r in range(n + 1)]
 
-    config = (rng.random(n) < p).astype(np.uint8)
+    config = (rng.random(n) < p).astype(np.uint8).tolist()
     zeros = [x for x in range(n) if config[x] == 0]
     pos = [-1] * n
     for i, x in enumerate(zeros):
@@ -105,93 +109,68 @@ def _replica_batches(
     hist_rows = np.zeros((n_batches, n + 1))
     notes: list[str] = []
 
-    # chunked pre-draws: one uniform for the vertex pick, kmax for marks
-    upick = rng.random(_CHUNK)
-    umark = rng.random((_CHUNK, kmax))
-    cursor = 0
-
-    hist = np.zeros(n + 1)
-    acc = np.zeros(n)
-    mark = np.zeros(n)
-    W = 0.0
-    absorbed = False
-    batch_idx = -1  # negative while burning in
-    step_in_batch = 0
-    total = burn_in + per_batch * n_batches
-    measuring = burn_in == 0
-    if measuring:
-        batch_idx = 0
-
-    for _ in range(total):
-        if cursor == _CHUNK:
-            upick = rng.random(_CHUNK)
-            umark = rng.random((_CHUNK, kmax))
-            cursor = 0
-        r = len(zeros)
-        if measuring:
-            w = (1.0 / (r if r > 0 else n)) if continuous else 1.0
+    # chunked pre-draws: one uniform for the vertex pick, then kmax marks
+    # per step; mark j of step `cursor` is bits[cursor * kmax + j]
+    cursor = _CHUNK  # the first chunk is drawn at the first step
+    # segment b = -1 is the burn-in, whose weights are discarded
+    for b, steps in enumerate([burn_in] + [per_batch] * n_batches, start=-1):
+        hist = [0.0] * (n + 1)
+        acc = [0.0] * n
+        mark = [0.0] * n
+        W = 0.0
+        absorbed = False
+        for _ in range(steps):
+            if cursor == _CHUNK:
+                upick = rng.random(_CHUNK).tolist()
+                bits = (rng.random((_CHUNK, kmax)) < p).tobytes()
+                cursor = 0
+            r = len(zeros)
+            w = weight[r]
             hist[ones_count] += w
             W += w
-        if r == 0:
-            if not resample:
-                absorbed = True
-                notes.append(f"replica {replica} absorbed at all-ones")
-                break
-            v = int(upick[cursor] * n)
-        else:
-            v = zeros[int(upick[cursor] * r)]
-        targets = nbhds[v]
-        row = umark[cursor]
-        cursor += 1
-        for j, t in enumerate(targets):
-            new = 1 if row[j] < p else 0
-            old = config[t]
-            if old == new:
-                continue
-            config[t] = new
-            if new == 1:
-                i = pos[t]
-                last = zeros[-1]
-                zeros[i] = last
-                pos[last] = i
-                zeros.pop()
-                pos[t] = -1
-                ones_count += 1
-                if measuring:
-                    mark[t] = W
+            if r == 0:
+                if not resample:
+                    absorbed = True
+                    break
+                v = int(upick[cursor] * n)
             else:
-                pos[t] = len(zeros)
-                zeros.append(t)
-                ones_count -= 1
-                if measuring:
+                v = zeros[int(upick[cursor] * r)]
+            base = cursor * kmax
+            cursor += 1
+            for j, t in nbhds[v]:
+                new = bits[base + j]
+                if config[t] == new:
+                    continue
+                config[t] = new
+                if new:
+                    i = pos[t]
+                    last = zeros[-1]
+                    zeros[i] = last
+                    pos[last] = i
+                    zeros.pop()
+                    pos[t] = -1
+                    ones_count += 1
+                    mark[t] = W
+                else:
+                    pos[t] = len(zeros)
+                    zeros.append(t)
+                    ones_count -= 1
                     acc[t] += W - mark[t]
-
-        if measuring:
-            step_in_batch += 1
-            if step_in_batch == per_batch:
-                live = config == 1
-                acc[live] += W - mark[live]
-                bits_rows[batch_idx] = acc / W
-                hist_rows[batch_idx] = hist / W
-                batch_idx += 1
-                step_in_batch = 0
-                hist[:] = 0.0
-                acc[:] = 0.0
-                mark[:] = 0.0
-                W = 0.0
-        else:
-            burn_in -= 1
-            if burn_in == 0:
-                measuring = True
-                batch_idx = 0
-
-    if absorbed:
-        # frozen all-ones is a trap: every later state is all-ones, so
-        # the unfinished rows are exactly the point mass there
-        for b in range(max(batch_idx, 0), n_batches):
-            bits_rows[b] = 1.0
-            hist_rows[b] = 0.0
-            hist_rows[b, n] = 1.0
+        if absorbed:
+            # frozen all-ones is a trap: every later state is all-ones, so
+            # the unfinished rows are exactly the point mass there
+            notes.append(f"replica {replica} absorbed at all-ones")
+            b = max(b, 0)
+            bits_rows[b:] = 1.0
+            hist_rows[b:] = 0.0
+            hist_rows[b:, n] = 1.0
+            break
+        if b >= 0:
+            for t in range(n):
+                if config[t]:
+                    acc[t] += W - mark[t]
+            bits_rows[b] = [a / W for a in acc]
+            hist_rows[b] = [h / W for h in hist]
     return bits_rows, hist_rows, tuple(notes)
 
 

@@ -1,5 +1,7 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
+import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,6 +15,13 @@ from bslab.drift import (
     _TOL,
     increment_bound,
 )
+from bslab.dynamics import (
+    ALLONES_SEMANTICS,
+    GraphicalConstruction,
+    ModelParams,
+    ReplayResult,
+    _merged_events,
+)
 from bslab.exact import (
     _STATIONARY_MAX_ITER,
     _STATIONARY_TOL,
@@ -20,7 +29,10 @@ from bslab.exact import (
     TransitionModel,
     _nbhd_patterns,
 )
+from bslab.graphs import Graph, closed_neighbourhood
+from bslab.montecarlo import _CHUNK
 from bslab.percolation import StripField, level_size
+from bslab.rng import substream
 
 
 def reachable_brute(field: StripField, start_ms, upto: int) -> set[int]:
@@ -327,3 +339,243 @@ def stationary_oracle(tm: TransitionModel, flavor: str = "embedded") -> Stationa
         pi = weights / weights.sum()
         residual = float(np.abs((pi * tm.exit_rates) @ tm.kernel - pi * tm.exit_rates).sum())
     return StationaryDist(pi, flavor, residual)
+
+
+def replica_batches_oracle(
+    g: Graph,
+    params: ModelParams,
+    budget: int,
+    seed: int,
+    replica: int,
+    n_batches: int,
+    burn_in: int,
+    flavor: str,
+    allones: str,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """montecarlo._replica_batches on numpy arrays and scalars, step by step.
+
+    The reference the list-based loop must match bit for bit.
+    """
+    rng = substream(seed, 29, replica)
+    n = g.num_vertices
+    p = params.p
+    nbhds = [list(closed_neighbourhood(g, x)) for x in range(n)]
+    kmax = g.max_degree + 1
+    resample = allones == "resample"
+    continuous = flavor == "continuous"
+
+    config = (rng.random(n) < p).astype(np.uint8)
+    zeros = [x for x in range(n) if config[x] == 0]
+    pos = [-1] * n
+    for i, x in enumerate(zeros):
+        pos[x] = i
+    ones_count = n - len(zeros)
+
+    per_batch = budget // n_batches
+    bits_rows = np.zeros((n_batches, n))
+    hist_rows = np.zeros((n_batches, n + 1))
+    notes: list[str] = []
+
+    # chunked pre-draws: one uniform for the vertex pick, kmax for marks
+    upick = rng.random(_CHUNK)
+    umark = rng.random((_CHUNK, kmax))
+    cursor = 0
+
+    hist = np.zeros(n + 1)
+    acc = np.zeros(n)
+    mark = np.zeros(n)
+    W = 0.0
+    absorbed = False
+    batch_idx = -1  # negative while burning in
+    step_in_batch = 0
+    total = burn_in + per_batch * n_batches
+    measuring = burn_in == 0
+    if measuring:
+        batch_idx = 0
+
+    for _ in range(total):
+        if cursor == _CHUNK:
+            upick = rng.random(_CHUNK)
+            umark = rng.random((_CHUNK, kmax))
+            cursor = 0
+        r = len(zeros)
+        if measuring:
+            w = (1.0 / (r if r > 0 else n)) if continuous else 1.0
+            hist[ones_count] += w
+            W += w
+        if r == 0:
+            if not resample:
+                absorbed = True
+                notes.append(f"replica {replica} absorbed at all-ones")
+                break
+            v = int(upick[cursor] * n)
+        else:
+            v = zeros[int(upick[cursor] * r)]
+        targets = nbhds[v]
+        row = umark[cursor]
+        cursor += 1
+        for j, t in enumerate(targets):
+            new = 1 if row[j] < p else 0
+            old = config[t]
+            if old == new:
+                continue
+            config[t] = new
+            if new == 1:
+                i = pos[t]
+                last = zeros[-1]
+                zeros[i] = last
+                pos[last] = i
+                zeros.pop()
+                pos[t] = -1
+                ones_count += 1
+                if measuring:
+                    mark[t] = W
+            else:
+                pos[t] = len(zeros)
+                zeros.append(t)
+                ones_count -= 1
+                if measuring:
+                    acc[t] += W - mark[t]
+
+        if measuring:
+            step_in_batch += 1
+            if step_in_batch == per_batch:
+                live = config == 1
+                acc[live] += W - mark[live]
+                bits_rows[batch_idx] = acc / W
+                hist_rows[batch_idx] = hist / W
+                batch_idx += 1
+                step_in_batch = 0
+                hist[:] = 0.0
+                acc[:] = 0.0
+                mark[:] = 0.0
+                W = 0.0
+        else:
+            burn_in -= 1
+            if burn_in == 0:
+                measuring = True
+                batch_idx = 0
+
+    if absorbed:
+        # frozen all-ones is a trap: every later state is all-ones, so
+        # the unfinished rows are exactly the point mass there
+        for b in range(max(batch_idx, 0), n_batches):
+            bits_rows[b] = 1.0
+            hist_rows[b] = 0.0
+            hist_rows[b, n] = 1.0
+    return bits_rows, hist_rows, tuple(notes)
+
+
+def replay_oracle(
+    g: Graph,
+    config0: np.ndarray,
+    gc: GraphicalConstruction,
+    snapshot_times=None,
+    allones: str = "resample",
+    collect_log: bool = True,
+    window: tuple[float, float] | None = None,
+) -> ReplayResult:
+    """dynamics.replay on a numpy configuration, event by event.
+
+    The reference the list-based loop must match bit for bit.
+
+    An event at vertex x applies its marks to the closed neighbourhood of
+    x iff x is currently zero, or the configuration is all ones under the
+    `resample` semantics; otherwise it is muted.  A snapshot at time t
+    reflects all events with time <= t.  With window=(t0, t1), config0 is
+    the state at t0 and only events in (t0, t1] are applied.
+    """
+    if allones not in ALLONES_SEMANTICS:
+        raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
+    config = np.asarray(config0, dtype=np.uint8).copy()
+    if config.shape != (g.num_vertices,):
+        raise ValueError("configuration size does not match graph")
+    ts, vs, rows = _merged_events(gc)
+    if window is not None:
+        t0, t1 = float(window[0]), float(window[1])
+        if not (0.0 <= t0 < t1 <= gc.horizon + 1e-9):
+            raise ValueError("window must satisfy 0 <= t0 < t1 <= horizon")
+        keep = (ts > t0) & (ts <= t1)
+        ts, vs, rows = ts[keep], vs[keep], rows[keep]
+    snaps = sorted(float(s) for s in (snapshot_times if snapshot_times is not None else ()))
+    nbhds = [closed_neighbourhood(g, x) for x in range(g.num_vertices)]
+    n_ones = int(config.sum())
+    log: list[tuple[float, int, bool, np.ndarray]] = []
+    snapshots: list[np.ndarray] = []
+    applied = muted = 0
+    si = 0
+    for t, x, r in zip(ts, vs, rows):
+        while si < len(snaps) and snaps[si] < t:
+            snapshots.append(config.copy())
+            si += 1
+        fire = config[x] == 0 or (allones == "resample" and n_ones == g.num_vertices)
+        if fire:
+            nb = list(nbhds[x])
+            row = gc.marks[x][r]
+            n_ones += int(row.sum()) - int(config[nb].sum())
+            config[nb] = row
+            applied += 1
+        else:
+            muted += 1
+        if collect_log:
+            log.append((float(t), int(x), bool(fire), gc.marks[x][r]))
+    while si < len(snaps):
+        snapshots.append(config.copy())
+        si += 1
+    return ReplayResult(config, log, snapshots, applied, muted)
+
+
+@dataclass
+class SimulationResult:
+    final: np.ndarray
+    horizon: float
+    sampled_events: int
+    applied_events: int
+    muted_events: int
+
+
+def simulate_continuous(
+    g: Graph,
+    config0: np.ndarray,
+    params: ModelParams,
+    horizon: float,
+    seed: int,
+    replica: int = 0,
+    allones: str = "resample",
+) -> SimulationResult:
+    """Event-driven simulation, never materializing the full construction.
+
+    Consumes the same per-vertex substreams as sample_graphical, in the
+    same order, so for equal (seed, replica) the final configuration is
+    bit-identical to replay(sample_graphical(...)).
+    """
+    if allones not in ALLONES_SEMANTICS:
+        raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    config = np.asarray(config0, dtype=np.uint8).copy()
+    if config.shape != (g.num_vertices,):
+        raise ValueError("configuration size does not match graph")
+    nbhds = [list(closed_neighbourhood(g, x)) for x in range(g.num_vertices)]
+    gens = [substream(seed, replica, x) for x in range(g.num_vertices)]
+    heap: list[tuple[float, int]] = []
+    for x in range(g.num_vertices):
+        t = gens[x].exponential()
+        if t <= horizon:
+            heapq.heappush(heap, (t, x))
+    n_ones = int(config.sum())
+    sampled = applied = muted = 0
+    while heap:
+        t, x = heapq.heappop(heap)
+        sampled += 1
+        row = (gens[x].random(len(nbhds[x])) < params.p).astype(np.uint8)
+        if config[x] == 0 or (allones == "resample" and n_ones == g.num_vertices):
+            n_ones += int(row.sum()) - int(config[nbhds[x]].sum())
+            config[nbhds[x]] = row
+            applied += 1
+        else:
+            muted += 1
+        t2 = t + gens[x].exponential()
+        if t2 <= horizon:
+            heapq.heappush(heap, (t2, x))
+    return SimulationResult(config, float(horizon), sampled, applied, muted)

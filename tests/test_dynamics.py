@@ -16,12 +16,12 @@ from bslab.dynamics import (
     replay,
     sample_graphical,
     sample_graphical_batch,
-    simulate_continuous,
     step_discrete,
 )
 from bslab.exact import build_kernel
 from bslab.graphs import closed_neighbourhood, generate
 from bslab.rng import substream
+from oracle_utils import simulate_continuous
 
 
 def test_model_params():
