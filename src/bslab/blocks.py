@@ -130,9 +130,7 @@ def _check_window(gc: GraphicalConstruction, t0: float, t1: float) -> None:
 
 def _window_rows(gc: GraphicalConstruction, x: int, t0: float, t1: float) -> tuple[int, int]:
     ts = gc.times[x]
-    lo = int(np.searchsorted(ts, t0, side="right"))
-    hi = int(np.searchsorted(ts, t1, side="right"))
-    return lo, hi
+    return int(ts.searchsorted(t0, side="right")), int(ts.searchsorted(t1, side="right"))
 
 
 def ring_count(gc: GraphicalConstruction, x: int, window: tuple[float, float]) -> int:
@@ -140,7 +138,8 @@ def ring_count(gc: GraphicalConstruction, x: int, window: tuple[float, float]) -
     return hi - lo
 
 
-def _good_in_window(g: Graph, gc: GraphicalConstruction, base: int, A, t0: float, t1: float) -> bool:
+def _mark_columns(g: Graph, base: int, A) -> tuple[int, ...]:
+    """Columns of base's mark rows that propose for the vertices of A, sorted."""
     nbhd = closed_neighbourhood(g, base)
     cols = []
     for a in sorted(set(int(v) for v in A)):
@@ -148,10 +147,15 @@ def _good_in_window(g: Graph, gc: GraphicalConstruction, base: int, A, t0: float
             cols.append(nbhd.index(a))
         except ValueError:
             raise ValueError(f"vertex {a} is outside the closed neighbourhood of {base}") from None
-    lo, hi = _window_rows(gc, base, t0, t1)
-    if lo == hi or not cols:
-        return True
-    return not gc.marks[base][lo:hi][:, cols].any()
+    return tuple(cols)
+
+
+def _good_rows(gc: GraphicalConstruction, base: int, cols: tuple[int, ...], lo: int, hi: int) -> bool:
+    """No one proposed in the given columns of base's mark rows lo..hi-1."""
+    rows = gc.marks[base][lo:hi]
+    # at small p nearly every window proposes all zeros: a scan of the raw
+    # bytes settles that case without the column gather
+    return not any(rows.tobytes()) or not rows[:, cols].any()
 
 
 def stick_is_good(g: Graph, gc: GraphicalConstruction, stick: Stick, A) -> bool:
@@ -162,7 +166,8 @@ def stick_is_good(g: Graph, gc: GraphicalConstruction, stick: Stick, A) -> bool:
     """
     t0, t1 = stick.window
     _check_window(gc, t0, t1)
-    return _good_in_window(g, gc, stick.base, A, t0, t1)
+    cols = _mark_columns(g, stick.base, A)
+    return _good_rows(gc, stick.base, cols, *_window_rows(gc, stick.base, t0, t1))
 
 
 def required_goods_pair(g: Graph, x: int, y: int) -> dict[int, frozenset[int]]:
@@ -219,23 +224,61 @@ def _require_adjacent(g: Graph, sites) -> None:
 _ORDERS4 = ((0, 1, 2), (3, 2, 1))
 
 
-def _is_nice(g: Graph, gc: GraphicalConstruction, sites, req, orders, window) -> bool:
+@dataclass(frozen=True)
+class _NiceSpec:
+    """A block's requirement (sites, req, orders), with each stick's set
+    req[v] resolved to mark columns: goods holds (v, columns) in req order."""
+
+    sites: tuple[int, ...]
+    goods: tuple[tuple[int, tuple[int, ...]], ...]
+    orders: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=4)
+def _graph_specs(g: Graph) -> dict[tuple[int, ...], _NiceSpec]:
+    """The specs built so far on g, by sites.  A spec depends only on the
+    graph and the block's sites, and chain_to_percolation and the
+    propagation checks ask for the same few blocks again and again."""
+    return {}
+
+
+def _nice_spec(g: Graph, sites: tuple[int, ...]) -> _NiceSpec:
+    """The spec of the pair block (two sites) or the four-block (four)."""
+    specs = _graph_specs(g)
+    if sites not in specs:
+        _require_adjacent(g, sites)
+        if len(sites) == 2:
+            req, orders = required_goods_pair(g, *sites), ()
+        else:
+            req, orders = required_goods_quad(g, sites), _ORDERS4
+        goods = tuple((v, _mark_columns(g, v, A)) for v, A in req.items())
+        specs[sites] = _NiceSpec(sites, goods, orders)
+    return specs[sites]
+
+
+def _is_nice(gc: GraphicalConstruction, spec: _NiceSpec, window) -> bool:
     """Every site's stick rings, each order of sites rings at increasing
     times, and every stick v is req[v]-good, all inside the window."""
     t0, t1 = window
     _check_window(gc, t0, t1)
-    return (
-        all(ring_count(gc, v, window) > 0 for v in sites)
-        and all(_has_increasing_rings([gc.times[sites[i]] for i in o], t0, t1) for o in orders)
-        and all(_good_in_window(g, gc, v, A, t0, t1) for v, A in req.items())
-    )
+    cuts = {}
+    for v in spec.sites:
+        lo, hi = cuts[v] = _window_rows(gc, v, t0, t1)
+        if lo == hi:
+            return False
+    for o in spec.orders:
+        if not _has_increasing_rings([gc.times[spec.sites[i]] for i in o], t0, t1):
+            return False
+    for v, cols in spec.goods:
+        lo, hi = cuts[v] if v in cuts else _window_rows(gc, v, t0, t1)
+        if not _good_rows(gc, v, cols, lo, hi):
+            return False
+    return True
 
 
 def block2_is_nice(g: Graph, gc: GraphicalConstruction, block: Block2) -> bool:
     """Ring at least once on both pair sticks, plus all goodness demands."""
-    _require_adjacent(g, (block.x, block.y))
-    req = required_goods_pair(g, block.x, block.y)
-    return _is_nice(g, gc, (block.x, block.y), req, (), block.window)
+    return _is_nice(gc, _nice_spec(g, (block.x, block.y)), block.window)
 
 
 @dataclass(frozen=True)
@@ -289,7 +332,7 @@ def _has_increasing_rings(rows, t0: float, t1: float) -> bool:
     strictly increasing times inside (t0, t1]."""
     t = t0
     for ts in rows:
-        i = int(np.searchsorted(ts, t, side="right"))
+        i = int(ts.searchsorted(t, side="right"))
         if i >= len(ts) or ts[i] > t1:
             return False
         t = float(ts[i])
@@ -313,24 +356,23 @@ def block4_is_nice(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
     sets plus the adjacency-derived ones all hold; and rings occur in
     increasing order along a->b->c and along e->c->b.
     """
-    _require_adjacent(g, block.sites)
-    return _is_nice(g, gc, block.sites, required_goods_quad(g, block.sites), _ORDERS4, block.window)
+    return _is_nice(gc, _nice_spec(g, block.sites), block.window)
 
 
-def _chunk_is_nice(g: Graph, chunk, col: dict[int, int], sites, req, orders, window) -> np.ndarray:
+def _chunk_is_nice(chunk, col: dict[int, int], spec: _NiceSpec, window) -> np.ndarray:
     """_is_nice for every sample of one chunk of dynamics._graphical_chunks,
     whose column for vertex v is col[v]."""
     counts, times, marks = chunk
     t0, t1 = window
+    sites = spec.sites
     inside = (times > t0) & (times <= t1)
     ok = inside[:, [col[v] for v in sites]].any(axis=2).all(axis=1)
-    for o in orders:
+    for o in spec.orders:
         ok &= _rings_in_order([times[:, col[sites[i]]] for i in o], t0, t1)
     sample = np.arange(len(counts))
-    for v, A in req.items():
+    for v, cols in spec.goods:
         j = col[v]
-        nbhd = closed_neighbourhood(g, v)
-        bad = marks[j][:, [nbhd.index(a) for a in sorted(A)]].any(axis=1)
+        bad = marks[j][:, cols].any(axis=1)
         bad &= inside[:, j][times[:, j] < np.inf]
         ok &= np.bincount(np.repeat(sample, counts[:, j])[bad], minlength=len(counts)) == 0
     return ok
@@ -555,16 +597,11 @@ def block4_independence_check(
     if len(chain) < need:
         raise ValueError(f"chain too short: the {pair} pair needs {need} sites")
     blocks = tuple(Block4(chain, k0, t, L) for k0, t in cells)
-    dep: set[int] = set()
-    for blk in blocks:
-        _require_adjacent(g, blk.sites)
-        for v in blk.sites:
-            dep.update(closed_neighbourhood(g, v))
-    wanted = sorted(dep)
+    specs = [(_nice_spec(g, blk.sites), blk.window) for blk in blocks]
+    wanted = sorted({u for blk in blocks for v in blk.sites for u in closed_neighbourhood(g, v)})
     col = {v: j for j, v in enumerate(wanted)}
-    specs = [(blk.sites, required_goods_quad(g, blk.sites), _ORDERS4, blk.window) for blk in blocks]
     ind = np.concatenate([
-        np.stack([_chunk_is_nice(g, chunk, col, *spec) for spec in specs], axis=1)
+        np.stack([_chunk_is_nice(chunk, col, *spec) for spec in specs], axis=1)
         for chunk in _graphical_chunks(g, params, horizon, n_samples, seed, wanted)
     ])
     va = ind[:, 0].astype(float)

@@ -17,7 +17,9 @@ its neighbours resampled) is included for reference experiments.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -220,9 +222,12 @@ def sample_graphical_batch(
         for s in range(len(counts)):
             tlist: list[np.ndarray] = [np.empty(0)] * g.num_vertices
             mlist: list[np.ndarray] = [np.empty((0, 0), dtype=np.uint8)] * g.num_vertices
+            # Python ints for the cuts; the time rows are views of the fresh
+            # chunk array, which no other sample's rows overlap
+            ts, c, lo, hi = times[s], counts[s].tolist(), offsets[s].tolist(), offsets[s + 1].tolist()
             for j, x in enumerate(wanted):
-                tlist[x] = times[s, j, : counts[s, j]].copy()
-                mlist[x] = marks[j][offsets[s, j] : offsets[s + 1, j]]
+                tlist[x] = ts[j, : c[j]]
+                mlist[x] = marks[j][lo[j] : hi[j]]
             yield GraphicalConstruction(
                 horizon=float(horizon),
                 times=tuple(tlist),
@@ -242,18 +247,25 @@ class ReplayResult:
     muted_count: int
 
 
+# a table about the size of the graph itself, kept for the last few graphs
+@functools.lru_cache(maxsize=4)
+def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
+    return tuple(closed_neighbourhood(g, x) for x in range(g.num_vertices))
+
+
 def _merged_events(gc: GraphicalConstruction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All events sorted by time: (times, vertices, per-vertex row index)."""
-    ts = np.concatenate([t for t in gc.times]) if gc.times else np.empty(0)
-    vs = np.concatenate(
-        [np.full(len(t), x, dtype=np.int64) for x, t in enumerate(gc.times)]
-    ) if gc.times else np.empty(0, dtype=np.int64)
-    rows = np.concatenate(
-        [np.arange(len(t), dtype=np.int64) for t in gc.times]
-    ) if gc.times else np.empty(0, dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
+    if not gc.times:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # a few calls on whole arrays: the per-vertex pieces hold ~10 events each
+    counts = [len(t) for t in gc.times]
+    ts = np.concatenate(gc.times)
+    vs = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.repeat(np.array(list(accumulate(counts[:-1], initial=0)), dtype=np.int64), counts)
+    rows = np.arange(len(ts), dtype=np.int64) - starts
+    order = ts.argsort(kind="stable")
     ts, vs, rows = ts[order], vs[order], rows[order]
-    if len(ts) > 1 and np.any(np.diff(ts) == 0.0):
+    if (ts[1:] == ts[:-1]).any():
         raise ValueError("coincident event times in graphical construction")
     return ts, vs, rows
 
@@ -290,9 +302,10 @@ def replay(
     snaps = sorted(float(s) for s in (snapshot_times if snapshot_times is not None else ()))
     n = g.num_vertices
     resample = allones == "resample"
-    nbhds = [closed_neighbourhood(g, x) for x in range(n)]
+    nbhds = _closed_neighbourhoods(g)
     # Python lists and ints in the event loop: indexing a numpy scalar
     # costs more than the comparison or addition done with it
+    marks = [m.tolist() for m in gc.marks]
     cfg = config.tolist()
     n_ones = sum(cfg)
     log: list[tuple[float, int, bool, np.ndarray]] = []
@@ -305,7 +318,7 @@ def replay(
             si += 1
         fire = cfg[x] == 0 or (resample and n_ones == n)
         if fire:
-            for y, b in zip(nbhds[x], gc.marks[x][r].tolist()):
+            for y, b in zip(nbhds[x], marks[x][r]):
                 n_ones += b - cfg[y]
                 cfg[y] = b
             applied += 1

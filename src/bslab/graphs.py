@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,16 @@ class Graph:
 
     num_vertices: int
     adjacency: tuple[tuple[int, ...], ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the value hash walks every adjacency tuple; per-graph caches
+        # (block requirement specs, replay's neighbourhood table) look a
+        # graph up on every call, so it is computed once
+        return hash((self.num_vertices, self.adjacency))
 
     @property
     def max_degree(self) -> int:

@@ -43,6 +43,11 @@ def sites_at_level(N: int, n: int) -> np.ndarray:
     return np.arange(n % 2, 2 * N + 1, 2)
 
 
+def _check_strip(N: int, levels: int) -> None:
+    if N < 1 or levels < 1:
+        raise ValueError("need N >= 1 and levels >= 1")
+
+
 @dataclass(frozen=True)
 class StripField:
     """Open/closed status of every bond, one array pair per level.
@@ -59,8 +64,7 @@ class StripField:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.N < 1 or self.levels < 1:
-            raise ValueError("need N >= 1 and levels >= 1")
+        _check_strip(self.N, self.levels)
         if len(self.bonds_left) != self.levels or len(self.bonds_right) != self.levels:
             raise ValueError("bond arrays must cover every level")
         for n in range(self.levels):
@@ -188,6 +192,54 @@ def _check_site(N: int, level: int, m: int, who: str) -> None:
         raise ValueError(f"{who}={m} is not a site of level {level}")
 
 
+def _check_n_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+
+
+# uniforms drawn per chunk of samples by _strip_frontiers: 512 KiB of
+# doubles, whatever N, K or n_samples
+_CHUNK_DOUBLES = 1 << 16
+
+
+def _strip_frontiers(N: int, levels: int, start: np.ndarray, thetas, n_samples: int, rng):
+    """Yield (m, [frontier for each theta]) for successive chunks of samples.
+
+    A frontier is the (m, level_size(N, levels)) boolean mask of the sites
+    at level `levels` reachable from the level-0 mask `start`, in the
+    field that evolve would see on each sample.  A chunk takes its
+    uniforms in one rng.random((m, 2W)) call, W the bond count over all
+    levels: row i holds the doubles, in order, of the i-th of m successive
+    strip_uniforms calls (every level's ul, then every level's ur).  A
+    bond is open iff its uniform is below theta; clipped wall bonds are
+    never read.
+    """
+    offsets = np.cumsum([0] + [level_size(N, n) for n in range(levels)]).tolist()
+    W = offsets[-1]
+    chunk = max(1, _CHUNK_DOUBLES // (2 * W))
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        u = rng.random((m, 2 * W))
+        frontiers = []
+        for t in thetas:
+            bonds = u < t
+            cur = np.broadcast_to(start, (m, len(start)))
+            for n in range(levels):
+                bl = bonds[:, offsets[n] : offsets[n + 1]]
+                br = bonds[:, W + offsets[n] : W + offsets[n + 1]]
+                if n % 2 == 0:
+                    cur = (cur[:, 1:] & bl[:, 1:]) | (cur[:, :N] & br[:, :N])
+                else:
+                    nxt = np.zeros((m, N + 1), dtype=bool)
+                    nxt[:, :N] = cur & bl
+                    nxt[:, 1:] |= cur & br
+                    cur = nxt
+            frontiers.append(cur)
+        yield m, frontiers
+        done += m
+
+
 def prob_connect(
     N: int, theta: float, K: int, x: int, y: int, n_samples: int, seed: int
 ) -> Estimate:
@@ -200,6 +252,7 @@ def prob_connect_theta_sweep(
 ) -> dict[float, Estimate]:
     """P[x -> y] across thetas on shared uniforms; per-sample indicators
     are nondecreasing in theta by construction, which is asserted."""
+    _check_n_samples(n_samples)
     levels = K * N
     _check_site(N, 0, x, "x")
     _check_site(N, levels, y, "y")
@@ -209,20 +262,21 @@ def prob_connect_theta_sweep(
     if abs(y - x) > levels:
         unreachable = Estimate(0.0, 0.0, (0.0, 0.0), n_samples, n_samples, ("target unreachable",))
         return {t: unreachable for t in thetas}
+    _check_strip(N, levels)
+    if not thetas:
+        return {}
     rng = substream(seed, 31)
-    B = LevelSet.from_sites(N, 0, [x])
+    start = LevelSet.from_sites(N, 0, [x]).mask
     j = (y - levels % 2) // 2
     hits = {t: np.empty(n_samples, dtype=float) for t in thetas}
-    for i in range(n_samples):
-        ul, ur = strip_uniforms(N, levels, rng)
-        prev = 0.0
-        for t in thetas:
-            field = field_from_uniforms(N, t, ul, ur)
-            hit = 1.0 if evolve(field, B, levels).mask[j] else 0.0
-            if hit < prev:
-                raise AssertionError("connectivity decreased on a shared-uniform sample")
-            prev = hit
-            hits[t][i] = hit
+    done = 0
+    for m, frontiers in _strip_frontiers(N, levels, start, list(hits), n_samples, rng):
+        chunk_hits = np.array([f[:, j] for f in frontiers])
+        if (chunk_hits[1:] < chunk_hits[:-1]).any():
+            raise AssertionError("connectivity decreased on a shared-uniform sample")
+        for t, h in zip(hits, chunk_hits):
+            hits[t][done : done + m] = h
+        done += m
     return {t: estimate_from_samples(v) for t, v in hits.items()}
 
 
@@ -239,16 +293,26 @@ def prob_good_level(
     """MC estimate of P[the level-KN frontier of B is (1-h)-good]."""
     if not (0.0 < h < 1.0):
         raise ValueError("h must lie in (0, 1)")
+    _check_n_samples(n_samples)
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError("theta must lie in [0, 1]")
     levels = K * N
+    _check_strip(N, levels)
+    if B.level != 0:
+        raise ValueError("starting set must sit at level 0")
+    if B.N != N:
+        raise ValueError("level set and field disagree on N")
     rng = substream(seed, 37)
     notes = []
     if not side_condition_ok(theta, h):
         notes.append("side condition fails: analytic bound shape not applicable")
+    width = level_size(N, levels)
     good = np.empty(n_samples, dtype=float)
-    for i in range(n_samples):
-        field = sample_strip(N, theta, levels, rng)
-        S = evolve(field, B, levels)
-        good[i] = 1.0 if is_h_good(S, 1.0 - h) else 0.0
+    done = 0
+    for m, (frontier,) in _strip_frontiers(N, levels, B.mask, [theta], n_samples, rng):
+        # the count / width >= 1 - h of is_h_good, in the same double arithmetic
+        good[done : done + m] = frontier.sum(axis=1) / width >= 1.0 - h
+        done += m
     return estimate_from_samples(good, tuple(notes))
 
 

@@ -15,12 +15,21 @@ from bslab.drift import (
     _TOL,
     increment_bound,
 )
+from bslab.blocks import (
+    _ORDERS4,
+    Block2,
+    Block4,
+    _check_window,
+    _require_adjacent,
+    required_goods_pair,
+    required_goods_quad,
+)
 from bslab.dynamics import (
     ALLONES_SEMANTICS,
     GraphicalConstruction,
     ModelParams,
     ReplayResult,
-    _merged_events,
+    _graphical_chunks,
 )
 from bslab.exact import (
     _STATIONARY_MAX_ITER,
@@ -30,8 +39,19 @@ from bslab.exact import (
     _nbhd_patterns,
 )
 from bslab.graphs import Graph, closed_neighbourhood
-from bslab.montecarlo import _CHUNK
-from bslab.percolation import StripField, level_size
+from bslab.montecarlo import _CHUNK, Estimate, estimate_from_samples
+from bslab.percolation import (
+    LevelSet,
+    StripField,
+    _check_site,
+    evolve,
+    field_from_uniforms,
+    is_h_good,
+    level_size,
+    sample_strip,
+    side_condition_ok,
+    strip_uniforms,
+)
 from bslab.rng import substream
 
 
@@ -490,7 +510,7 @@ def replay_oracle(
     config = np.asarray(config0, dtype=np.uint8).copy()
     if config.shape != (g.num_vertices,):
         raise ValueError("configuration size does not match graph")
-    ts, vs, rows = _merged_events(gc)
+    ts, vs, rows = merged_events_oracle(gc)
     if window is not None:
         t0, t1 = float(window[0]), float(window[1])
         if not (0.0 <= t0 < t1 <= gc.horizon + 1e-9):
@@ -579,3 +599,151 @@ def simulate_continuous(
         if t2 <= horizon:
             heapq.heappush(heap, (t2, x))
     return SimulationResult(config, float(horizon), sampled, applied, muted)
+
+
+# ---------------------------------------------------------------------------
+# the per-sample strip loops, the per-vertex event merge and niceness
+# evaluator, and the copying batch sampler that the batched and lean paths
+# replaced; each must be matched exactly
+
+
+def prob_connect_theta_sweep_oracle(
+    N: int, thetas, K: int, x: int, y: int, n_samples: int, seed: int
+) -> dict[float, Estimate]:
+    """percolation.prob_connect_theta_sweep, one sample and one field at a time."""
+    levels = K * N
+    _check_site(N, 0, x, "x")
+    _check_site(N, levels, y, "y")
+    thetas = sorted(float(t) for t in thetas)
+    if not all(0.0 <= t <= 1.0 for t in thetas):
+        raise ValueError("theta must lie in [0, 1]")
+    if abs(y - x) > levels:
+        unreachable = Estimate(0.0, 0.0, (0.0, 0.0), n_samples, n_samples, ("target unreachable",))
+        return {t: unreachable for t in thetas}
+    rng = substream(seed, 31)
+    B = LevelSet.from_sites(N, 0, [x])
+    j = (y - levels % 2) // 2
+    hits = {t: np.empty(n_samples, dtype=float) for t in thetas}
+    for i in range(n_samples):
+        ul, ur = strip_uniforms(N, levels, rng)
+        prev = 0.0
+        for t in thetas:
+            field = field_from_uniforms(N, t, ul, ur)
+            hit = 1.0 if evolve(field, B, levels).mask[j] else 0.0
+            if hit < prev:
+                raise AssertionError("connectivity decreased on a shared-uniform sample")
+            prev = hit
+            hits[t][i] = hit
+    return {t: estimate_from_samples(v) for t, v in hits.items()}
+
+
+def prob_good_level_oracle(
+    N: int, theta: float, K: int, h: float, B: LevelSet, n_samples: int, seed: int
+) -> Estimate:
+    """percolation.prob_good_level, one sampled strip at a time."""
+    if not (0.0 < h < 1.0):
+        raise ValueError("h must lie in (0, 1)")
+    levels = K * N
+    rng = substream(seed, 37)
+    notes = []
+    if not side_condition_ok(theta, h):
+        notes.append("side condition fails: analytic bound shape not applicable")
+    good = np.empty(n_samples, dtype=float)
+    for i in range(n_samples):
+        field = sample_strip(N, theta, levels, rng)
+        S = evolve(field, B, levels)
+        good[i] = 1.0 if is_h_good(S, 1.0 - h) else 0.0
+    return estimate_from_samples(good, tuple(notes))
+
+
+def merged_events_oracle(gc: GraphicalConstruction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dynamics._merged_events from one small array per vertex."""
+    ts = np.concatenate([t for t in gc.times]) if gc.times else np.empty(0)
+    vs = np.concatenate(
+        [np.full(len(t), x, dtype=np.int64) for x, t in enumerate(gc.times)]
+    ) if gc.times else np.empty(0, dtype=np.int64)
+    rows = np.concatenate(
+        [np.arange(len(t), dtype=np.int64) for t in gc.times]
+    ) if gc.times else np.empty(0, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    ts, vs, rows = ts[order], vs[order], rows[order]
+    if len(ts) > 1 and np.any(np.diff(ts) == 0.0):
+        raise ValueError("coincident event times in graphical construction")
+    return ts, vs, rows
+
+
+def _ring_count_oracle(gc: GraphicalConstruction, x: int, t0: float, t1: float) -> int:
+    ts = gc.times[x]
+    return int(np.searchsorted(ts, t1, side="right")) - int(np.searchsorted(ts, t0, side="right"))
+
+
+def _good_in_window_oracle(g: Graph, gc: GraphicalConstruction, base: int, A, t0: float, t1: float) -> bool:
+    nbhd = closed_neighbourhood(g, base)
+    cols = []
+    for a in sorted(set(int(v) for v in A)):
+        try:
+            cols.append(nbhd.index(a))
+        except ValueError:
+            raise ValueError(f"vertex {a} is outside the closed neighbourhood of {base}") from None
+    ts = gc.times[base]
+    lo = int(np.searchsorted(ts, t0, side="right"))
+    hi = int(np.searchsorted(ts, t1, side="right"))
+    if lo == hi or not cols:
+        return True
+    return not gc.marks[base][lo:hi][:, cols].any()
+
+
+def _has_increasing_rings_oracle(rows, t0: float, t1: float) -> bool:
+    t = t0
+    for ts in rows:
+        i = int(np.searchsorted(ts, t, side="right"))
+        if i >= len(ts) or ts[i] > t1:
+            return False
+        t = float(ts[i])
+    return True
+
+
+def is_nice_oracle(g: Graph, gc: GraphicalConstruction, sites, req, orders, window) -> bool:
+    """blocks._is_nice, resolving every stick's columns on every call."""
+    t0, t1 = window
+    _check_window(gc, t0, t1)
+    return (
+        all(_ring_count_oracle(gc, v, t0, t1) > 0 for v in sites)
+        and all(_has_increasing_rings_oracle([gc.times[sites[i]] for i in o], t0, t1) for o in orders)
+        and all(_good_in_window_oracle(g, gc, v, A, t0, t1) for v, A in req.items())
+    )
+
+
+def block2_is_nice_oracle(g: Graph, gc: GraphicalConstruction, block: Block2) -> bool:
+    _require_adjacent(g, (block.x, block.y))
+    req = required_goods_pair(g, block.x, block.y)
+    return is_nice_oracle(g, gc, (block.x, block.y), req, (), block.window)
+
+
+def block4_is_nice_oracle(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
+    _require_adjacent(g, block.sites)
+    return is_nice_oracle(g, gc, block.sites, required_goods_quad(g, block.sites), _ORDERS4, block.window)
+
+
+def sample_graphical_batch_oracle(g, params, horizon, n_samples, seed, vertices=None):
+    """dynamics.sample_graphical_batch, copying every vertex's ring times."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    wanted = list(range(g.num_vertices)) if vertices is None else sorted(set(int(v) for v in vertices))
+    done = 0
+    for counts, times, marks in _graphical_chunks(g, params, horizon, n_samples, seed, wanted):
+        offsets = np.vstack((np.zeros_like(counts[:1]), counts.cumsum(axis=0)))
+        for s in range(len(counts)):
+            tlist: list[np.ndarray] = [np.empty(0)] * g.num_vertices
+            mlist: list[np.ndarray] = [np.empty((0, 0), dtype=np.uint8)] * g.num_vertices
+            for j, x in enumerate(wanted):
+                tlist[x] = times[s, j, : counts[s, j]].copy()
+                mlist[x] = marks[j][offsets[s, j] : offsets[s + 1, j]]
+            yield GraphicalConstruction(
+                horizon=float(horizon),
+                times=tuple(tlist),
+                marks=tuple(mlist),
+                seed=int(seed),
+                replica=done + s,
+            )
+        done += len(counts)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,16 @@ def test_torus_structure():
 def test_complete_structure():
     g = generate("complete", 5)
     assert all(g.degree(x) == 4 for x in range(5))
+
+
+def test_hash_is_the_value_hash_computed_once():
+    """Equal graphs are one key of the per-graph caches, across pickling too."""
+    g = generate("torus2d", 3, 4)
+    twin = Graph(g.num_vertices, g.adjacency)
+    assert hash(g) == hash(twin) == hash((g.num_vertices, g.adjacency))
+    assert {g: "spec"}[twin] == "spec"
+    assert {g: "spec"}[pickle.loads(pickle.dumps(g))] == "spec"
+    assert {generate("cycle", 12)} != {generate("path", 12)}
 
 
 def test_degenerate_sizes_rejected():
