@@ -152,10 +152,7 @@ def _mark_columns(g: Graph, base: int, A) -> tuple[int, ...]:
 
 def _good_rows(gc: GraphicalConstruction, base: int, cols: tuple[int, ...], lo: int, hi: int) -> bool:
     """No one proposed in the given columns of base's mark rows lo..hi-1."""
-    rows = gc.marks[base][lo:hi]
-    # at small p nearly every window proposes all zeros: a scan of the raw
-    # bytes settles that case without the column gather
-    return not any(rows.tobytes()) or not rows[:, cols].any()
+    return not gc.marks[base][lo:hi, cols].any()
 
 
 def stick_is_good(g: Graph, gc: GraphicalConstruction, stick: Stick, A) -> bool:
@@ -234,26 +231,20 @@ class _NiceSpec:
     orders: tuple[tuple[int, ...], ...]
 
 
-@functools.lru_cache(maxsize=4)
-def _graph_specs(g: Graph) -> dict[tuple[int, ...], _NiceSpec]:
-    """The specs built so far on g, by sites.  A spec depends only on the
-    graph and the block's sites, and chain_to_percolation and the
-    propagation checks ask for the same few blocks again and again."""
-    return {}
-
-
+@functools.lru_cache
 def _nice_spec(g: Graph, sites: tuple[int, ...]) -> _NiceSpec:
-    """The spec of the pair block (two sites) or the four-block (four)."""
-    specs = _graph_specs(g)
-    if sites not in specs:
-        _require_adjacent(g, sites)
-        if len(sites) == 2:
-            req, orders = required_goods_pair(g, *sites), ()
-        else:
-            req, orders = required_goods_quad(g, sites), _ORDERS4
-        goods = tuple((v, _mark_columns(g, v, A)) for v, A in req.items())
-        specs[sites] = _NiceSpec(sites, goods, orders)
-    return specs[sites]
+    """The spec of the pair block (two sites) or the four-block (four).
+
+    A spec depends only on the graph and the block's sites, and
+    chain_to_percolation and the propagation checks ask for the same few
+    blocks again and again."""
+    _require_adjacent(g, sites)
+    if len(sites) == 2:
+        req, orders = required_goods_pair(g, *sites), ()
+    else:
+        req, orders = required_goods_quad(g, sites), _ORDERS4
+    goods = tuple((v, _mark_columns(g, v, A)) for v, A in req.items())
+    return _NiceSpec(sites, goods, orders)
 
 
 def _is_nice(gc: GraphicalConstruction, spec: _NiceSpec, window) -> bool:

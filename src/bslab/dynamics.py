@@ -17,7 +17,6 @@ its neighbours resampled) is included for reference experiments.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -247,12 +246,6 @@ class ReplayResult:
     muted_count: int
 
 
-# a table about the size of the graph itself, kept for the last few graphs
-@functools.lru_cache(maxsize=4)
-def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return tuple(closed_neighbourhood(g, x) for x in range(g.num_vertices))
-
-
 def _merged_events(gc: GraphicalConstruction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All events sorted by time: (times, vertices, per-vertex row index)."""
     if not gc.times:
@@ -302,10 +295,9 @@ def replay(
     snaps = sorted(float(s) for s in (snapshot_times if snapshot_times is not None else ()))
     n = g.num_vertices
     resample = allones == "resample"
-    nbhds = _closed_neighbourhoods(g)
+    nbhds = g.closed_neighbourhoods
     # Python lists and ints in the event loop: indexing a numpy scalar
     # costs more than the comparison or addition done with it
-    marks = [m.tolist() for m in gc.marks]
     cfg = config.tolist()
     n_ones = sum(cfg)
     log: list[tuple[float, int, bool, np.ndarray]] = []
@@ -318,7 +310,7 @@ def replay(
             si += 1
         fire = cfg[x] == 0 or (resample and n_ones == n)
         if fire:
-            for y, b in zip(nbhds[x], marks[x][r]):
+            for y, b in zip(nbhds[x], gc.marks[x][r].tolist()):
                 n_ones += b - cfg[y]
                 cfg[y] = b
             applied += 1

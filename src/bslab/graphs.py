@@ -46,10 +46,14 @@ class Graph:
 
     @cached_property
     def _hash(self) -> int:
-        # the value hash walks every adjacency tuple; per-graph caches
-        # (block requirement specs, replay's neighbourhood table) look a
-        # graph up on every call, so it is computed once
+        # the value hash walks every adjacency tuple; the block requirement
+        # spec cache looks a graph up on every call, so it is computed once
         return hash((self.num_vertices, self.adjacency))
+
+    @cached_property
+    def closed_neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex together with its neighbours, sorted by id."""
+        return tuple(tuple(sorted((x,) + a)) for x, a in enumerate(self.adjacency))
 
     @property
     def max_degree(self) -> int:
@@ -178,7 +182,7 @@ def _random_regular(n: int, d: int, seed: int | None, max_attempts: int = 1000) 
 
 def closed_neighbourhood(g: Graph, x: int) -> tuple[int, ...]:
     """Vertex x together with its neighbours, sorted by id."""
-    return tuple(sorted((x,) + g.adjacency[x]))
+    return g.closed_neighbourhoods[x]
 
 
 def chain_defect(g: Graph, vertices) -> str | None:

@@ -65,6 +65,16 @@ def test_hash_is_the_value_hash_computed_once():
     assert {generate("cycle", 12)} != {generate("path", 12)}
 
 
+def test_closed_neighbourhood_is_sorted_and_read_from_one_table():
+    g = generate("cycle", 5)
+    assert [closed_neighbourhood(g, x) for x in range(5)] == [
+        (0, 1, 4), (0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4),
+    ]
+    assert closed_neighbourhood(g, 4) is g.closed_neighbourhoods[4]
+    # the cached table is not part of the value
+    assert g == Graph(g.num_vertices, g.adjacency) and "closed" not in repr(g)
+
+
 def test_degenerate_sizes_rejected():
     with pytest.raises(ValueError):
         generate("cycle", 2)
