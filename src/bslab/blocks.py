@@ -440,26 +440,24 @@ def _direct_stats(
     flavor: str,
     g: Graph,
     params: ModelParams,
-    sites: tuple[int, ...],
-    req: dict[int, frozenset[int]],
-    orders: tuple[tuple[int, ...], ...],
+    spec: _NiceSpec,
     L: float,
     n_samples: int,
     seed: int,
     analytic_lb: float,
 ) -> BlockStats:
-    """Sample niceness of the spec (sites, req, orders) of _is_nice directly
-    from ring counts and mark counts, one column per stick of req in
-    sorted order.  Ring times of the sites' sticks are drawn only for
-    samples that pass the count and goodness filters, in (sample, site)
-    order, one uniform per ring.
+    """Sample niceness of `spec` directly from ring counts and mark counts,
+    one column per stick of spec.goods in sorted vertex order.  Ring times
+    of the sites' sticks are drawn only for samples that pass the count
+    and goodness filters, in (sample, site) order, one uniform per ring.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
     rng = substream(seed, 41)
-    sticks = sorted(req)
-    sizes_row = np.array([len(req[v]) for v in sticks])[None, :]
-    ring_idx = [sticks.index(v) for v in sites]
+    goods = sorted(spec.goods)
+    sticks = [v for v, _ in goods]
+    sizes_row = np.array([len(cols) for _, cols in goods])[None, :]
+    ring_idx = [sticks.index(v) for v in spec.sites]
     values = np.empty(n_samples, dtype=float)
     done = 0
     while done < n_samples:
@@ -467,13 +465,13 @@ def _direct_stats(
         ks = rng.poisson(L, size=(m, len(sticks)))
         ok = (ks[:, ring_idx] >= 1).all(axis=1)
         ok &= ~(rng.binomial(ks * sizes_row, params.p) > 0).any(axis=1)
-        if orders:
+        if spec.orders:
             counts = ks[ok][:, ring_idx]
             kmax = int(counts.max(initial=0))
             times = np.full(counts.shape + (kmax,), np.inf)
             times[np.arange(kmax) < counts[:, :, None]] = L * (1.0 - rng.random(int(counts.sum())))
             times.sort(axis=2)
-            in_order = [_rings_in_order([times[:, i] for i in o], 0.0, L) for o in orders]
+            in_order = [_rings_in_order([times[:, i] for i in o], 0.0, L) for o in spec.orders]
             ok[ok] = np.logical_and.reduce(in_order)
         values[done : done + m] = ok
         done += m
@@ -503,7 +501,8 @@ def sample_stick_stats(
     if not aset <= nbhd:
         raise ValueError("A must sit inside the closed neighbourhood of the base")
     lb = stick_good_lb(L, params.q, len(aset))
-    return _direct_stats("stick", g, params, (), {base: aset}, (), L, n_samples, seed, lb)
+    spec = _NiceSpec((), ((base, _mark_columns(g, base, aset)),), ())
+    return _direct_stats("stick", g, params, spec, L, n_samples, seed, lb)
 
 
 def sample_block2_stats(
@@ -516,10 +515,9 @@ def sample_block2_stats(
     seed: int,
 ) -> BlockStats:
     """Nice-rate of the pair block {x, y}, against the analytic bound."""
-    _require_adjacent(g, (x, y))
+    spec = _nice_spec(g, (x, y))
     lb = block2_nice_lb(L, params.p, g.max_degree)
-    req = required_goods_pair(g, x, y)
-    return _direct_stats("two", g, params, (x, y), req, (), L, n_samples, seed, lb)
+    return _direct_stats("two", g, params, spec, L, n_samples, seed, lb)
 
 
 def sample_block4_stats(
@@ -532,11 +530,9 @@ def sample_block4_stats(
     seed: int,
 ) -> BlockStats:
     """Nice-rate of a four-block, against the analytic bound."""
-    sites = Block4(tuple(chain), k0, 0.0, L).sites
-    _require_adjacent(g, sites)
-    req = required_goods_quad(g, sites)
+    spec = _nice_spec(g, Block4(tuple(chain), k0, 0.0, L).sites)
     lb = theta_4block(L, params.p, g.max_degree)
-    return _direct_stats("four", g, params, sites, req, _ORDERS4, L, n_samples, seed, lb)
+    return _direct_stats("four", g, params, spec, L, n_samples, seed, lb)
 
 
 _INDEPENDENCE_PAIRS = ("same_level", "adjacent_level", "self")

@@ -182,7 +182,11 @@ def choose_h(q: float, d: int) -> float:
     return 0.5 * (win[0] + win[1])
 
 
-def q0(d: int, tol: float = 1e-12) -> float:
+# width at which the q0 bisection stops
+_Q0_TOL = 1e-12
+
+
+def q0(d: int) -> float:
     """Largest q below which the weight window is nonempty (bisection)."""
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -192,7 +196,7 @@ def q0(d: int, tol: float = 1e-12) -> float:
         raise RuntimeError("window unexpectedly empty just above 1/(d+1)")
     if h_window(hi, d) is not None:
         raise RuntimeError("window unexpectedly nonempty near q=1")
-    while hi - lo > tol:
+    while hi - lo > _Q0_TOL:
         mid = 0.5 * (lo + hi)
         if h_window(mid, d) is None:
             hi = mid

@@ -80,22 +80,12 @@ from .montecarlo import (
 from .percolation import (
     LevelSet,
     contour_bounds,
-    level_size,
     prob_connect,
     prob_connect_theta_sweep,
     prob_good_level,
     sites_at_level,
 )
 from .rng import substream
-
-PRESET_NAMES = (
-    "thm1_survival",
-    "thm2_proportion",
-    "thm3_extinction",
-    "classic_eta_c",
-    "block_bounds",
-    "percolation_sweep",
-)
 
 
 def _fmt(x) -> str:
@@ -207,6 +197,8 @@ _ESTIMATE_HEADER = (
     "notes",
 )
 
+_PERCOLATION_HEADER = ("N", "theta", "K", "h", "functional", "estimate", "stderr", "n_samples", "seed")
+
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -215,6 +207,11 @@ def cmd_simulate(args) -> int:
     seed = _require_seed(args)
     g = _graph(args)
     params = ModelParams(p=args.p)
+    every = float(args.snapshot_every)
+    if args.flavor == "embedded" and every != 0.0 and not (every >= 1.0 and every.is_integer()):
+        raise ValueError(
+            "--snapshot-every must be 0 or a whole number of steps >= 1 for the embedded flavor"
+        )
     run = Run(args, "simulate")
     if args.init == "random":
         config0 = random_configuration(g, params, substream(seed, 11))
@@ -247,7 +244,7 @@ def cmd_simulate(args) -> int:
         rows = []
         for k in range(1, args.steps + 1):
             config = step_discrete(g, config, params, rng)
-            if args.snapshot_every > 0 and k % int(args.snapshot_every) == 0:
+            if every > 0 and k % int(every) == 0:
                 rows.append((k, format_configuration(config)))
         if rows:
             run.write_csv("snapshots.csv", ("step", "configuration"), rows)
@@ -285,6 +282,8 @@ def cmd_mc(args) -> int:
     seed = _require_seed(args)
     g = _graph(args)
     params = ModelParams(p=args.p)
+    if not (0 <= args.vertex < g.num_vertices):
+        raise ValueError("vertex out of range")
     run = Run(args, "mc")
     bd = run_batches(
         g,
@@ -456,11 +455,7 @@ def cmd_percolate(args) -> int:
             (args.N, args.theta, args.K, args.h, "prob_good_level", est.mean, est.stderr, args.n_samples, seed)
         )
         print(f"P[(1-h)-good level] = {est.mean!r} +- {est.stderr!r}")
-    run.write_csv(
-        "percolation.csv",
-        ("N", "theta", "K", "h", "functional", "estimate", "stderr", "n_samples", "seed"),
-        rows,
-    )
+    run.write_csv("percolation.csv", _PERCOLATION_HEADER, rows)
     return run.finish()
 
 
@@ -692,11 +687,7 @@ def _preset_percolation_sweep(run: Run, seed: int, threads: int) -> None:
         rep = contour_bounds(N, t, h, K)
         rows.append((N, t, K, h, "contour_short_sum", rep.short_sum, "", "", seed))
         rows.append((N, t, K, h, "contour_long_term", rep.long_term, "", "", seed))
-    run.write_csv(
-        "percolation.csv",
-        ("N", "theta", "K", "h", "functional", "estimate", "stderr", "n_samples", "seed"),
-        rows,
-    )
+    run.write_csv("percolation.csv", _PERCOLATION_HEADER, rows)
 
 
 _PRESETS = {
@@ -707,6 +698,7 @@ _PRESETS = {
     "block_bounds": _preset_block_bounds,
     "percolation_sweep": _preset_percolation_sweep,
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def cmd_preset(args) -> int:

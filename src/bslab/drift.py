@@ -249,11 +249,9 @@ def exact_drift(g: Graph, config: np.ndarray, params: ModelParams, h: float) -> 
     cond1 = sum(t1) / len(t1) if t1 else None
     cond2 = sum(t2) / len(t2) if t2 else None
 
-    d = g.max_degree
-    q = params.q
-    db = drift_bounds(q, d, h)
+    db = drift_bounds(params.q, g.max_degree, h)
     frac2 = census.n2 / census.total
-    bounds: dict[str, float] = {"count": (d + 1) * q - 1.0 - frac2}
+    bounds: dict[str, float] = {"count": db.n_drift_bound - frac2}
     margins: dict[str, float] = {"count": bounds["count"] - dn}
     if cond1 is not None:
         bounds["type1"] = db.type1_bound
@@ -432,7 +430,7 @@ def verify_all_bounds(
             row_parts.append((states, vtype, m, drift_f) + ((bound,) if regular else ()))
 
     zeros = n - np.bitwise_count(all_states)
-    count_bound = (d + 1) * q - 1.0 - n2 / zeros
+    count_bound = db.n_drift_bound - n2 / zeros
     trackers["count_drift"].add(count_bound - sum_dn / zeros, all_states, None)
 
     rows: list[tuple[str, int, int, float, float | None, float | None]] = []

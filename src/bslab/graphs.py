@@ -157,7 +157,11 @@ def generate(family: str, *params: int, seed: int | None = None) -> Graph:
     raise ValueError(f"unknown graph family {family!r}")
 
 
-def _random_regular(n: int, d: int, seed: int | None, max_attempts: int = 1000) -> Graph:
+# pairings _random_regular draws before it gives up
+_REGULAR_ATTEMPTS = 1000
+
+
+def _random_regular(n: int, d: int, seed: int | None) -> Graph:
     """Pairing model with rejection until simple and connected."""
     if seed is None:
         raise ValueError("random_regular needs a seed")
@@ -165,7 +169,7 @@ def _random_regular(n: int, d: int, seed: int | None, max_attempts: int = 1000) 
         raise ValueError("random_regular needs n*d even and 0 < d < n")
     rng = substream(seed, 93, n, d)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_attempts):
+    for _ in range(_REGULAR_ATTEMPTS):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -251,58 +255,45 @@ def shortest_path(g: Graph, u: int, v: int) -> ChainPath:
     return ChainPath(tuple(reversed(out)))
 
 
-def _exact_search(g: Graph, anchor: int | None, budget: int) -> ChainPath:
-    """Depth-first enumeration of all chains, lexicographic order.
+def _chain_walk(g: Graph, starts, order, visit, budget: int, error: str) -> tuple[int, ...] | None:
+    """Depth-first walk over the chains that begin at each of `starts`.
 
-    Keeps the first chain of each record length, so the result is the
-    lexicographically smallest maximum-length chain.  Raises
-    BudgetExceeded after `budget` extension attempts.
+    Calls visit(path) on every chain reached, in walk order, and returns
+    the first chain for which it returns True, or None if there is none.
+    The neighbours of a chain's last vertex are tried in the order that
+    order(neighbours) gives, or in id order when order is None.  Each
+    neighbour tried is one extension, and the walk raises
+    BudgetExceeded(error) once more than `budget` have been tried.
     """
     masks = g.closed_nbhd_masks()
-    n = g.num_vertices
-    best: list[int] = []
+    adjacency = g.adjacency
     extensions = 0
     path: list[int] = []
-    # forbidden[k] = union of closed neighbourhoods of path[0..k-3]
-    forbidden: list[int] = []
-    visited = 0
 
-    def consider() -> None:
-        nonlocal best
-        if len(path) > len(best) and (anchor is None or anchor in path):
-            best = list(path)
-
-    def extend() -> None:
-        nonlocal extensions, visited
-        consider()
-        last = path[-1]
-        fb = forbidden[-1]
-        for v in g.adjacency[last]:
+    def extend(visited: int, forbidden: int) -> bool:
+        # forbidden: union of the closed neighbourhoods of path[:-2]
+        nonlocal extensions
+        if visit(path):
+            return True
+        near = adjacency[path[-1]]
+        for v in near if order is None else order(near):
             extensions += 1
             if extensions > budget:
-                raise BudgetExceeded(
-                    f"longest_chain: extension budget {budget} exceeded"
-                )
-            if (visited >> v) & 1:
-                continue
-            if masks[v] & fb:
+                raise BudgetExceeded(error)
+            if (visited >> v) & 1 or masks[v] & forbidden:
                 continue
             path.append(v)
-            visited |= 1 << v
             k = len(path)
-            add = masks[path[k - 3]] if k >= 3 else 0
-            forbidden.append(fb | add)
-            extend()
-            forbidden.pop()
-            visited ^= 1 << v
+            if extend(visited | (1 << v), forbidden | (masks[path[k - 3]] if k >= 3 else 0)):
+                return True
             path.pop()
+        return False
 
-    for start in range(n):
-        path = [start]
-        visited = 1 << start
-        forbidden = [0]
-        extend()
-    return ChainPath(tuple(best))
+    for start in starts:
+        path[:] = [start]
+        if extend(1 << start, 0):
+            return tuple(path)
+    return None
 
 
 def _heuristic_search(g: Graph, anchor: int | None) -> ChainPath:
@@ -338,7 +329,19 @@ def longest_chain(
     if anchor is not None and not (0 <= anchor < g.num_vertices):
         raise ValueError("anchor out of range")
     if mode == "exact":
-        out = _exact_search(g, anchor, budget)
+        # the first chain of each record length: the lexicographically
+        # smallest longest chain
+        best: list[int] = []
+
+        def keep(path: list[int]) -> bool:
+            nonlocal best
+            if len(path) > len(best) and (anchor is None or anchor in path):
+                best = list(path)
+            return False
+
+        error = f"longest_chain: extension budget {budget} exceeded"
+        _chain_walk(g, range(g.num_vertices), None, keep, budget, error)
+        out = ChainPath(tuple(best))
     elif mode == "heuristic":
         out = _heuristic_search(g, anchor)
     else:
@@ -360,38 +363,6 @@ class ChainCover:
         return len(self.chains)
 
 
-def _chain_from(g: Graph, start: int, min_len: int, uncovered: set[int], budget: int) -> ChainPath | None:
-    """First chain of `min_len` vertices from `start`, preferring uncovered."""
-    masks = g.closed_nbhd_masks()
-    extensions = 0
-
-    def order(cands):
-        return sorted(cands, key=lambda v: (v not in uncovered, v))
-
-    def extend(path: list[int], visited: int, forbidden: list[int]):
-        nonlocal extensions
-        if len(path) >= min_len:
-            return list(path)
-        for v in order(g.adjacency[path[-1]]):
-            extensions += 1
-            if extensions > budget:
-                raise BudgetExceeded("chain_cover: extension budget exceeded")
-            if (visited >> v) & 1 or (masks[v] & forbidden[-1]):
-                continue
-            path.append(v)
-            k = len(path)
-            forbidden.append(forbidden[-1] | (masks[path[k - 3]] if k >= 3 else 0))
-            got = extend(path, visited | (1 << v), forbidden)
-            forbidden.pop()
-            path.pop()
-            if got is not None:
-                return got
-        return None
-
-    got = extend([start], 1 << start, [0])
-    return ChainPath(tuple(got)) if got is not None else None
-
-
 def chain_cover(g: Graph, min_len: int, budget: int = 10_000_000) -> ChainCover:
     """Greedy cover of all vertices by chains of at least `min_len` vertices.
 
@@ -405,12 +376,18 @@ def chain_cover(g: Graph, min_len: int, budget: int = 10_000_000) -> ChainCover:
     uncovered = set(range(g.num_vertices))
     chains: list[ChainPath] = []
     while uncovered:
-        start = min(uncovered)
-        got = _chain_from(g, start, min_len, uncovered, budget)
+        got = _chain_walk(
+            g,
+            [min(uncovered)],
+            lambda near: sorted(near, key=lambda v: (v not in uncovered, v)),
+            lambda path: len(path) >= min_len,
+            budget,
+            "chain_cover: extension budget exceeded",
+        )
         if got is None:
             return ChainCover(tuple(chains), False, tuple(sorted(uncovered)))
-        chains.append(got)
-        uncovered.difference_update(got.vertices)
+        chains.append(ChainPath(got))
+        uncovered.difference_update(got)
     return ChainCover(tuple(chains), True, ())
 
 

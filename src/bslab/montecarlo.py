@@ -281,17 +281,15 @@ def expected_zeros_from_batches(bd: BatchData) -> Estimate:
     return _reduce(bd.hist @ weights, bd)
 
 
-def tail_fit_from_batches(
-    bd: BatchData,
-    k_lo: int = 1,
-    k_hi: int | None = None,
-    min_points: int = 3,
-    max_rel_err: float = 0.5,
-) -> TailFit | None:
+_TAIL_MAX_REL_ERR = 0.5
+_TAIL_MIN_POINTS = 3
+
+
+def tail_fit_from_batches(bd: BatchData, k_lo: int = 1, k_hi: int | None = None) -> TailFit | None:
     """Fit the geometric tail of the zero count.
 
-    Points with zero mass or a relative stderr above `max_rel_err` are
-    dropped; returns None when fewer than `min_points` survive.
+    Points with zero mass or a relative stderr above _TAIL_MAX_REL_ERR are
+    dropped; returns None when fewer than _TAIL_MIN_POINTS survive.
     """
     n = bd.num_vertices
     if k_hi is None:
@@ -301,12 +299,12 @@ def tail_fit_from_batches(
         est = zeros_tail_from_batches(bd, k)
         if est.mean <= 0.0 or est.stderr <= 0.0:
             continue
-        if est.stderr / est.mean > max_rel_err:
+        if est.stderr / est.mean > _TAIL_MAX_REL_ERR:
             continue
         ks.append(k)
         ys.append(math.log(est.mean))
         ws.append(est.mean / est.stderr)
-    if len(ks) < min_points:
+    if len(ks) < _TAIL_MIN_POINTS:
         return None
     x = np.array(ks, dtype=float)
     y = np.array(ys)

@@ -116,12 +116,10 @@ class LevelSet:
     def from_sites(cls, N: int, level: int, ms) -> "LevelSet":
         width = level_size(N, level)
         mask = np.zeros(width, dtype=bool)
-        par = level % 2
         for m in ms:
             m = int(m)
-            if m % 2 != par or not (0 <= m <= 2 * N):
-                raise ValueError(f"site m={m} does not exist at level {level}")
-            mask[(m - par) // 2] = True
+            _check_site(N, level, m, "m")
+            mask[(m - level % 2) // 2] = True
         return cls(N, level, mask)
 
 
@@ -168,16 +166,19 @@ def evolve(field: StripField, B: LevelSet, upto: int) -> LevelSet:
     N = field.N
     cur = B.mask.copy()
     for n in range(upto):
-        bl = field.bonds_left[n]
-        br = field.bonds_right[n]
-        if n % 2 == 0:
-            nxt = (cur[1:] & bl[1:]) | (cur[:N] & br[:N])
-        else:
-            nxt = np.zeros(N + 1, dtype=bool)
-            nxt[:N] |= cur & bl
-            nxt[1:] |= cur & br
-        cur = nxt
+        cur = _advance(cur, field.bonds_left[n], field.bonds_right[n], n, N)
     return LevelSet(N, upto, cur)
+
+
+def _advance(cur: np.ndarray, bl: np.ndarray, br: np.ndarray, n: int, N: int) -> np.ndarray:
+    """The sites of level n + 1 reached along the open bonds (bl, br) of
+    level n from the sites `cur` of level n, as masks along the last axis."""
+    if n % 2 == 0:
+        return (cur[..., 1:] & bl[..., 1:]) | (cur[..., :N] & br[..., :N])
+    nxt = np.zeros(cur.shape[:-1] + (N + 1,), dtype=bool)
+    nxt[..., :N] = cur & bl
+    nxt[..., 1:] |= cur & br
+    return nxt
 
 
 def is_h_good(S: LevelSet, h: float) -> bool:
@@ -228,13 +229,7 @@ def _strip_frontiers(N: int, levels: int, start: np.ndarray, thetas, n_samples: 
             for n in range(levels):
                 bl = bonds[:, offsets[n] : offsets[n + 1]]
                 br = bonds[:, W + offsets[n] : W + offsets[n + 1]]
-                if n % 2 == 0:
-                    cur = (cur[:, 1:] & bl[:, 1:]) | (cur[:, :N] & br[:, :N])
-                else:
-                    nxt = np.zeros((m, N + 1), dtype=bool)
-                    nxt[:, :N] = cur & bl
-                    nxt[:, 1:] |= cur & br
-                    cur = nxt
+                cur = _advance(cur, bl, br, n, N)
             frontiers.append(cur)
         yield m, frontiers
         done += m

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from bslab.bounds import drift_bounds
+from bslab.bounds import block2_nice_lb, drift_bounds, stick_good_lb, theta_4block
 from bslab.drift import (
     CheckStat,
     ScanReport,
@@ -17,10 +17,13 @@ from bslab.drift import (
 )
 from bslab.blocks import (
     _ORDERS4,
+    _SAMPLE_CHUNK,
     Block2,
     Block4,
+    BlockStats,
     _check_window,
     _require_adjacent,
+    _rings_in_order,
     required_goods_pair,
     required_goods_quad,
 )
@@ -38,7 +41,7 @@ from bslab.exact import (
     TransitionModel,
     _nbhd_patterns,
 )
-from bslab.graphs import Graph, closed_neighbourhood
+from bslab.graphs import BudgetExceeded, ChainCover, ChainPath, Graph, closed_neighbourhood
 from bslab.montecarlo import _CHUNK, Estimate, estimate_from_samples
 from bslab.percolation import (
     LevelSet,
@@ -747,3 +750,178 @@ def sample_graphical_batch_oracle(g, params, horizon, n_samples, seed, vertices=
                 replica=done + s,
             )
         done += len(counts)
+
+
+# ---------------------------------------------------------------------------
+# the two chain searches that graphs._chain_walk replaced, and the direct
+# block samplers as they were before they shared blocks._nice_spec; each
+# must be matched exactly, budget errors included
+
+
+def longest_chain_exact_oracle(g: Graph, anchor: int | None, budget: int) -> ChainPath:
+    """graphs.longest_chain(mode="exact") as its own depth-first search."""
+    masks = g.closed_nbhd_masks()
+    n = g.num_vertices
+    best: list[int] = []
+    extensions = 0
+    path: list[int] = []
+    # forbidden[k] = union of closed neighbourhoods of path[0..k-3]
+    forbidden: list[int] = []
+    visited = 0
+
+    def consider() -> None:
+        nonlocal best
+        if len(path) > len(best) and (anchor is None or anchor in path):
+            best = list(path)
+
+    def extend() -> None:
+        nonlocal extensions, visited
+        consider()
+        last = path[-1]
+        fb = forbidden[-1]
+        for v in g.adjacency[last]:
+            extensions += 1
+            if extensions > budget:
+                raise BudgetExceeded(
+                    f"longest_chain: extension budget {budget} exceeded"
+                )
+            if (visited >> v) & 1:
+                continue
+            if masks[v] & fb:
+                continue
+            path.append(v)
+            visited |= 1 << v
+            k = len(path)
+            add = masks[path[k - 3]] if k >= 3 else 0
+            forbidden.append(fb | add)
+            extend()
+            forbidden.pop()
+            visited ^= 1 << v
+            path.pop()
+
+    for start in range(n):
+        path = [start]
+        visited = 1 << start
+        forbidden = [0]
+        extend()
+    return ChainPath(tuple(best))
+
+
+def _chain_from_oracle(g: Graph, start: int, min_len: int, uncovered: set[int], budget: int) -> ChainPath | None:
+    """First chain of `min_len` vertices from `start`, preferring uncovered."""
+    masks = g.closed_nbhd_masks()
+    extensions = 0
+
+    def order(cands):
+        return sorted(cands, key=lambda v: (v not in uncovered, v))
+
+    def extend(path: list[int], visited: int, forbidden: list[int]):
+        nonlocal extensions
+        if len(path) >= min_len:
+            return list(path)
+        for v in order(g.adjacency[path[-1]]):
+            extensions += 1
+            if extensions > budget:
+                raise BudgetExceeded("chain_cover: extension budget exceeded")
+            if (visited >> v) & 1 or (masks[v] & forbidden[-1]):
+                continue
+            path.append(v)
+            k = len(path)
+            forbidden.append(forbidden[-1] | (masks[path[k - 3]] if k >= 3 else 0))
+            got = extend(path, visited | (1 << v), forbidden)
+            forbidden.pop()
+            path.pop()
+            if got is not None:
+                return got
+        return None
+
+    got = extend([start], 1 << start, [0])
+    return ChainPath(tuple(got)) if got is not None else None
+
+
+def chain_cover_oracle(g: Graph, min_len: int, budget: int) -> ChainCover:
+    """graphs.chain_cover with its own search per chain."""
+    if min_len < 1:
+        raise ValueError("min_len must be >= 1")
+    uncovered = set(range(g.num_vertices))
+    chains: list[ChainPath] = []
+    while uncovered:
+        start = min(uncovered)
+        got = _chain_from_oracle(g, start, min_len, uncovered, budget)
+        if got is None:
+            return ChainCover(tuple(chains), False, tuple(sorted(uncovered)))
+        chains.append(got)
+        uncovered.difference_update(got.vertices)
+    return ChainCover(tuple(chains), True, ())
+
+
+def _direct_stats_oracle(
+    flavor: str,
+    g: Graph,
+    params: ModelParams,
+    sites: tuple[int, ...],
+    req: dict[int, frozenset[int]],
+    orders: tuple[tuple[int, ...], ...],
+    L: float,
+    n_samples: int,
+    seed: int,
+    analytic_lb: float,
+) -> BlockStats:
+    """blocks._direct_stats on a requirement (sites, req, orders) given
+    as a dict of stick sets."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    rng = substream(seed, 41)
+    sticks = sorted(req)
+    sizes_row = np.array([len(req[v]) for v in sticks])[None, :]
+    ring_idx = [sticks.index(v) for v in sites]
+    values = np.empty(n_samples, dtype=float)
+    done = 0
+    while done < n_samples:
+        m = min(_SAMPLE_CHUNK, n_samples - done)
+        ks = rng.poisson(L, size=(m, len(sticks)))
+        ok = (ks[:, ring_idx] >= 1).all(axis=1)
+        ok &= ~(rng.binomial(ks * sizes_row, params.p) > 0).any(axis=1)
+        if orders:
+            counts = ks[ok][:, ring_idx]
+            kmax = int(counts.max(initial=0))
+            times = np.full(counts.shape + (kmax,), np.inf)
+            times[np.arange(kmax) < counts[:, :, None]] = L * (1.0 - rng.random(int(counts.sum())))
+            times.sort(axis=2)
+            in_order = [_rings_in_order([times[:, i] for i in o], 0.0, L) for o in orders]
+            ok[ok] = np.logical_and.reduce(in_order)
+        values[done : done + m] = ok
+        done += m
+    return BlockStats(
+        flavor=flavor,
+        p=params.p,
+        d=g.max_degree,
+        L=float(L),
+        n_samples=n_samples,
+        estimate=estimate_from_samples(values),
+        analytic_lb=analytic_lb,
+    )
+
+
+def sample_stick_stats_oracle(g, params, base, A, L, n_samples, seed) -> BlockStats:
+    nbhd = set(closed_neighbourhood(g, base))
+    aset = frozenset(int(v) for v in A)
+    if not aset <= nbhd:
+        raise ValueError("A must sit inside the closed neighbourhood of the base")
+    lb = stick_good_lb(L, params.q, len(aset))
+    return _direct_stats_oracle("stick", g, params, (), {base: aset}, (), L, n_samples, seed, lb)
+
+
+def sample_block2_stats_oracle(g, params, x, y, L, n_samples, seed) -> BlockStats:
+    _require_adjacent(g, (x, y))
+    lb = block2_nice_lb(L, params.p, g.max_degree)
+    req = required_goods_pair(g, x, y)
+    return _direct_stats_oracle("two", g, params, (x, y), req, (), L, n_samples, seed, lb)
+
+
+def sample_block4_stats_oracle(g, params, chain, k0, L, n_samples, seed) -> BlockStats:
+    sites = Block4(tuple(chain), k0, 0.0, L).sites
+    _require_adjacent(g, sites)
+    req = required_goods_quad(g, sites)
+    lb = theta_4block(L, params.p, g.max_degree)
+    return _direct_stats_oracle("four", g, params, sites, req, _ORDERS4, L, n_samples, seed, lb)

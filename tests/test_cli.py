@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bslab
+from bslab import cli
 from bslab.bounds import FORMULAS
 from bslab.cli import main
 
@@ -322,3 +323,27 @@ def test_import_loads_no_slow_scipy_modules():
     where, loaded = res.stdout.splitlines()
     assert where.startswith(src)
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("every", ["0.5", "2.5", "-1", "nan", "inf"])
+def test_simulate_embedded_rejects_fractional_snapshot_steps(tmp_path, capsys, every):
+    rc = main([
+        "simulate", "--graph", "cycle:5", "--p", "0.4", "--seed", "2",
+        "--flavor", "embedded", "--steps", "10", "--snapshot-every", every,
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 2
+    assert "--snapshot-every" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_mc_rejects_vertex_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("replicas ran before the vertex check")
+
+    monkeypatch.setattr(cli, "run_batches", no_run)
+    for vertex in ("8", "99", "-1"):
+        rc = main(["mc", "--graph", "cycle:8", "--p", "0.3", "--seed", "1",
+                   "--vertex", vertex, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "vertex out of range" in capsys.readouterr().err
