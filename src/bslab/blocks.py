@@ -161,10 +161,7 @@ def stick_is_good(g: Graph, gc: GraphicalConstruction, stick: Stick, A) -> bool:
     A must sit inside the closed neighbourhood of the base (marks exist
     only there).  No rings in the window means good.
     """
-    t0, t1 = stick.window
-    _check_window(gc, t0, t1)
-    cols = _mark_columns(g, stick.base, A)
-    return _good_rows(gc, stick.base, cols, *_window_rows(gc, stick.base, t0, t1))
+    return _is_nice(gc, _stick_spec(g, stick.base, A), stick.window)
 
 
 def required_goods_pair(g: Graph, x: int, y: int) -> dict[int, frozenset[int]]:
@@ -245,6 +242,11 @@ def _nice_spec(g: Graph, sites: tuple[int, ...]) -> _NiceSpec:
         req, orders = required_goods_quad(g, sites), _ORDERS4
     goods = tuple((v, _mark_columns(g, v, A)) for v, A in req.items())
     return _NiceSpec(sites, goods, orders)
+
+
+def _stick_spec(g: Graph, base: int, A) -> _NiceSpec:
+    """The spec of one stick that must be A-good: no sites, no orders."""
+    return _NiceSpec((), ((base, _mark_columns(g, base, A)),), ())
 
 
 def _is_nice(gc: GraphicalConstruction, spec: _NiceSpec, window) -> bool:
@@ -501,8 +503,7 @@ def sample_stick_stats(
     if not aset <= nbhd:
         raise ValueError("A must sit inside the closed neighbourhood of the base")
     lb = stick_good_lb(L, params.q, len(aset))
-    spec = _NiceSpec((), ((base, _mark_columns(g, base, aset)),), ())
-    return _direct_stats("stick", g, params, spec, L, n_samples, seed, lb)
+    return _direct_stats("stick", g, params, _stick_spec(g, base, aset), L, n_samples, seed, lb)
 
 
 def sample_block2_stats(

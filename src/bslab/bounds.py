@@ -123,7 +123,13 @@ def T1(q: float, d: int) -> float:
     (q(d+1) - 1) / (d q^2 + q(1 - (1-q)^d))."""
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie strictly between 0 and 1")
-    return (q * (d + 1) - 1.0) / (d * q * q + q * (1.0 - (1.0 - q) ** d))
+    return (q * (d + 1) - 1.0) / _progeny_type2_lb(q, d)
+
+
+def _progeny_type2_lb(q: float, d: int) -> float:
+    """Lower bound d q^2 + q(1 - (1-q)^d) on the expected type-2 progeny
+    of an update at a degree-d site."""
+    return d * q * q + q * (1.0 - (1.0 - q) ** d)
 
 
 def T2(q: float, d: int) -> float:
@@ -244,7 +250,7 @@ def drift_bounds(q: float, d: int, h: float, frac_type2: float = 0.0) -> DriftBo
         raise ValueError("q must lie strictly between 0 and 1")
     if not (0.0 <= frac_type2 <= 1.0):
         raise ValueError("frac_type2 must lie in [0, 1]")
-    t1 = q * (d + 1) - h * (d * q * q + q * (1.0 - (1.0 - q) ** d)) - 1.0
+    t1 = q * (d + 1) - h * _progeny_type2_lb(q, d) - 1.0
     ok = h < cond_h_upper(q, d)
     t2 = q * (d + 1) - 2.0 + h * _t2_den(q, d) if ok else None
     nd = (d + 1) * q - 1.0 - frac_type2

@@ -234,7 +234,7 @@ def cmd_simulate(args) -> int:
             run.write_csv(
                 "snapshots.csv",
                 ("time", "configuration"),
-                [(repr(float(t)), format_configuration(c)) for t, c in zip(snaps, res.snapshots)],
+                [(t, format_configuration(c)) for t, c in zip(snaps, res.snapshots)],
             )
         final = res.final
         print(f"applied {res.applied_count} events, muted {res.muted_count}")
@@ -477,7 +477,11 @@ def cmd_formulas(args) -> int:
         needed = formula.inputs
         if not all(k in have for k in needed):
             continue
-        rep = evaluate_formula(name, **{k: have[k] for k in needed})
+        try:
+            rep = evaluate_formula(name, **{k: have[k] for k in needed})
+        except ValueError as exc:
+            print(f"{name}: not computed: {exc}")
+            continue
         inputs = ";".join(f"{k}={_fmt(rep.inputs[k])}" for k in needed)
         rows.append((name, inputs, rep.value, ";".join(rep.flags)))
         flagtxt = f"  [{','.join(rep.flags)}]" if rep.flags else ""
@@ -640,11 +644,7 @@ def _preset_classic_eta_c(run: Run, seed: int, threads: int) -> None:
     edges = np.linspace(0.0, 1.0, 51)
     hist, _ = np.histogram(values, bins=edges)
     mass = hist / len(values)
-    rows = [
-        (repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(mass[i])))
-        for i in range(len(mass))
-    ]
-    run.write_csv("classic.csv", ("bin_lo", "bin_hi", "mass"), rows)
+    run.write_csv("classic.csv", ("bin_lo", "bin_hi", "mass"), zip(edges, edges[1:], mass))
 
 
 def _preset_block_bounds(run: Run, seed: int, threads: int) -> None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import drift_bounds
-from .dynamics import ModelParams
+from .bounds import _progeny_type2_lb, drift_bounds
+from .dynamics import ModelParams, format_state
 from .graphs import BudgetExceeded, Graph, closed_neighbourhood
 
 __all__ = [
@@ -302,10 +302,6 @@ class ScanReport:
     notes: tuple[str, ...]
 
 
-def _bits(state: int, n: int) -> str:
-    return format(state, f"0{n}b")[::-1]
-
-
 class _Tracker:
     """Minimum margin of one check over (state, site) pairs.  Ties go to
     the smallest state, then to the site added first, so the result is
@@ -330,7 +326,7 @@ class _Tracker:
             self.worst_site = site
 
     def stat(self, n: int) -> CheckStat:
-        config = _bits(self.worst_state, n) if self.worst_state >= 0 else ""
+        config = format_state(self.worst_state, n) if self.worst_state >= 0 else ""
         return CheckStat(self.name, self.count, self.min_margin, config, self.worst_site)
 
 
@@ -405,8 +401,7 @@ def verify_all_bounds(
         # progeny counts use the site's own degree; exact equality
         total_err = np.abs((x1 + x2) - q * (deg + 1))
         trackers["progeny_total"].add(_TOL - total_err, states, v)
-        x2_lb = deg * q * q + q * (1.0 - (1.0 - q) ** deg)
-        trackers["progeny_type2"].add(x2 - x2_lb, states, v)
+        trackers["progeny_type2"].add(x2 - _progeny_type2_lb(q, deg), states, v)
         t1 = vtype == 1
         t2 = ~t1
         s1, s2 = states[t1], states[t2]
@@ -439,7 +434,7 @@ def verify_all_bounds(
         # the (state, site) order
         states, vtype, m, drift_f, *bound = (np.concatenate(c) for c in zip(*row_parts))
         order = np.argsort(states, kind="stable")
-        bits = np.array([_bits(state, n) for state in range(full)], dtype=object)
+        bits = np.array([format_state(state, n) for state in range(full)], dtype=object)
         cols = [bits[states], vtype, m, drift_f]
         cols += [bound[0], bound[0] - drift_f] if regular else [np.full(n_sites, None)] * 2
         rows = list(zip(*(c[order].tolist() for c in cols)))

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 ALLONES_SEMANTICS = ("resample", "frozen")
+# the embedded jump chain, or continuous time with rate-1 clocks
+FLAVORS = ("embedded", "continuous")
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,12 @@ def parse_configuration(text: str) -> np.ndarray:
 
 def format_configuration(config: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(config))
+
+
+def format_state(state: int, n: int) -> str:
+    """format_configuration of an n-vertex state integer whose bit x is
+    the fitness of vertex x."""
+    return format(state, f"0{n}b")[::-1]
 
 
 def all_ones(g: Graph) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import ModelParams
+from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams, format_state
 from .graphs import Graph, closed_neighbourhood
 
 __all__ = [
@@ -71,9 +71,7 @@ def _nbhd_patterns(g: Graph, params: ModelParams, v: int):
     """
     nbhd = closed_neighbourhood(g, v)
     k = len(nbhd)
-    clear = 0
-    for u in nbhd:
-        clear |= 1 << u
+    clear = g.closed_nbhd_masks()[v]
     targets = np.zeros(1 << k, dtype=np.int32)
     weights = np.ones(1 << k, dtype=np.float64)
     for i, u in enumerate(nbhd):
@@ -107,7 +105,7 @@ def build_kernel(
         raise ValueError(f"state space 2^{n} exceeds budget 2^{budget}")
     if n > _MAX_VERTICES:
         raise ValueError(f"states are int32: n = {n} exceeds {_MAX_VERTICES} vertices")
-    if allones not in ("resample", "frozen"):
+    if allones not in ALLONES_SEMANTICS:
         raise ValueError("allones must be 'resample' or 'frozen'")
     entries = _kernel_entries(g, allones)
     need = entries * _BYTES_PER_ENTRY
@@ -119,9 +117,7 @@ def build_kernel(
         )
     size = 1 << n
     states = np.arange(size, dtype=np.int32)
-    zero_counts = np.zeros(size, dtype=np.int32)
-    for x in range(n):
-        zero_counts += 1 - ((states >> x) & 1)
+    zero_counts = n - np.bitwise_count(states)
     pats = [_nbhd_patterns(g, params, v) for v in range(n)]
 
     rows = np.empty(entries, dtype=np.int32)
@@ -173,7 +169,7 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
     l1 flux residual |(pi r) P - pi r|_1 of the reweighted law.  Each step
     is a row-gather product on P^T, transposed once per call.
     """
-    if flavor not in ("embedded", "continuous"):
+    if flavor not in FLAVORS:
         raise ValueError("flavor must be 'embedded' or 'continuous'")
     size = tm.kernel.shape[0]
     if tm.allones == "frozen":
@@ -231,9 +227,7 @@ def marginals(sd: StationaryDist, g: Graph) -> Marginals:
     vertex_one = np.array(
         [float(sd.probs[((states >> x) & 1) == 1].sum()) for x in range(n)]
     )
-    ones = np.zeros(1 << n, dtype=np.int64)
-    for x in range(n):
-        ones += (states >> x) & 1
+    ones = np.bitwise_count(states)
     ones_hist = np.bincount(ones, weights=sd.probs, minlength=n + 1)
     zeros = n - ones
     zeros_tail = np.array(
@@ -356,8 +350,4 @@ def stationary_rows(sd: StationaryDist, g: Graph) -> list[tuple[str, str]]:
     """CSV rows (state_bits, probability), states ascending; bit x of the
     state integer is the fitness of vertex x, printed vertex 0 first."""
     n = g.num_vertices
-    rows = []
-    for s in range(1 << n):
-        bits = "".join("1" if (s >> x) & 1 else "0" for x in range(n))
-        rows.append((bits, repr(float(sd.probs[s]))))
-    return rows
+    return [(format_state(s, n), repr(p)) for s, p in enumerate(sd.probs.tolist())]

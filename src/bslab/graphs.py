@@ -71,10 +71,7 @@ class Graph:
 
     def closed_nbhd_masks(self) -> list[int]:
         """Closed neighbourhoods as bit masks, indexed by vertex."""
-        return [
-            (1 << x) | sum(1 << u for u in self.adjacency[x])
-            for x in range(self.num_vertices)
-        ]
+        return [sum(1 << u for u in nb) for nb in self.closed_neighbourhoods]
 
 
 def build_graph(num_vertices: int, edges) -> Graph:
@@ -101,23 +98,9 @@ def build_graph(num_vertices: int, edges) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     g = Graph(n, tuple(tuple(sorted(a)) for a in adj))
-    if not _connected(g):
+    if (_bfs(g, 0)[0] < 0).any():
         raise ValueError("graph is not connected")
     return g
-
-
-def _connected(g: Graph) -> bool:
-    if g.num_vertices == 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.num_vertices
 
 
 def generate(family: str, *params: int, seed: int | None = None) -> Graph:
@@ -298,13 +281,8 @@ def _chain_walk(g: Graph, starts, order, visit, budget: int, error: str) -> tupl
 
 def _heuristic_search(g: Graph, anchor: int | None) -> ChainPath:
     """Farthest-pair BFS path; certified chain, certified lower bound."""
-    if anchor is not None:
-        dist, _ = _bfs(g, anchor)
-        far = int(np.argmax(dist))
-        path = shortest_path(g, anchor, far)
-        return path
     best: ChainPath | None = None
-    for u in range(g.num_vertices):
+    for u in range(g.num_vertices) if anchor is None else (anchor,):
         dist, _ = _bfs(g, u)
         far = int(np.argmax(dist))
         cand = shortest_path(g, u, far)

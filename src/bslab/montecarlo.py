@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .dynamics import ALLONES_SEMANTICS, ModelParams
+from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams
 from .graphs import Graph, closed_neighbourhood
 from .rng import substream
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _CHUNK = 8192
-_FLAVORS = ("embedded", "continuous")
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,8 @@ def run_batches(
     `budget` counts post-burn-in updates per replica; burn-in adds
     ceil(burn_frac * budget) more.
     """
-    if flavor not in _FLAVORS:
-        raise ValueError(f"flavor must be one of {_FLAVORS}")
+    if flavor not in FLAVORS:
+        raise ValueError(f"flavor must be one of {FLAVORS}")
     if allones not in ALLONES_SEMANTICS:
         raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
     if n_batches < 8:

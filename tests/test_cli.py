@@ -347,3 +347,27 @@ def test_mc_rejects_vertex_before_sampling(tmp_path, capsys, monkeypatch):
                    "--vertex", vertex, "--out", str(tmp_path)])
         assert rc == 2
         assert "vertex out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,skipped", [
+    (["--d", "2", "--p", "0.3"], {"tilde_L"}),
+    (["--d", "2", "--q", "0.3"], {"tilde_L"}),
+    (["--d", "1", "--p", "0.01"], {"q0"}),
+])
+def test_formulas_skip_only_formulas_outside_their_domain(tmp_path, capsys, argv, skipped):
+    rc = main(["formulas", *argv, "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    names = [r[0] for r in read_csv(tmp_path / "formulas.csv")[1:]]
+    computable = [n for n, f in FORMULAS.items() if set(f.inputs) <= {"p", "q", "d"}]
+    assert names == [n for n in computable if n not in skipped]
+    for name in skipped:
+        assert f"{name}: not computed" in out
+    assert out.count("not computed") == len(skipped)
+
+
+def test_formulas_exit_2_when_nothing_is_computable(tmp_path, capsys):
+    rc = main(["formulas", "--d", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "no formula is computable" in capsys.readouterr().err
+    assert not (tmp_path / "formulas.csv").exists()
