@@ -79,6 +79,7 @@ from .montecarlo import (
 )
 from .percolation import (
     LevelSet,
+    _check_site,
     contour_bounds,
     prob_connect,
     prob_connect_theta_sweep,
@@ -418,6 +419,10 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_percolate(args) -> int:
+    if args.mode in ("connect", "sweep"):
+        # before Run creates --out, so a target that is not a site leaves no directory
+        _check_site(args.N, 0, args.x, "x")
+        _check_site(args.N, args.K * args.N, args.y, "y")
     run = Run(args, "percolate")
     rows = []
     if args.mode == "contour":

@@ -227,15 +227,20 @@ def _bfs(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     return dist, parent
 
 
+def _bfs_path(parent: np.ndarray, u: int, v: int) -> ChainPath:
+    """The path from u to v in the BFS tree of u that `parent` encodes."""
+    out = [v]
+    while out[-1] != u:
+        out.append(int(parent[out[-1]]))
+    return ChainPath(tuple(reversed(out)))
+
+
 def shortest_path(g: Graph, u: int, v: int) -> ChainPath:
     """BFS shortest path from u to v; always a valid chain."""
     dist, parent = _bfs(g, u)
     if dist[v] < 0:
         raise ValueError("vertices not connected")
-    out = [v]
-    while out[-1] != u:
-        out.append(int(parent[out[-1]]))
-    return ChainPath(tuple(reversed(out)))
+    return _bfs_path(parent, u, v)
 
 
 def _chain_walk(g: Graph, starts, order, visit, budget: int, error: str) -> tuple[int, ...] | None:
@@ -283,9 +288,8 @@ def _heuristic_search(g: Graph, anchor: int | None) -> ChainPath:
     """Farthest-pair BFS path; certified chain, certified lower bound."""
     best: ChainPath | None = None
     for u in range(g.num_vertices) if anchor is None else (anchor,):
-        dist, _ = _bfs(g, u)
-        far = int(np.argmax(dist))
-        cand = shortest_path(g, u, far)
+        dist, parent = _bfs(g, u)
+        cand = _bfs_path(parent, u, int(np.argmax(dist)))
         if best is None or cand.length > best.length:
             best = cand
     assert best is not None

@@ -371,3 +371,19 @@ def test_formulas_exit_2_when_nothing_is_computable(tmp_path, capsys):
     assert rc == 2
     assert "no formula is computable" in capsys.readouterr().err
     assert not (tmp_path / "formulas.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["connect", "sweep"])
+def test_percolate_target_off_level_leaves_no_directory(tmp_path, capsys, mode):
+    """With K = 3 and N = 5, level 15 holds only odd sites, so the default
+    y = 0 is refused before --out is created."""
+    out = tmp_path / "p"
+    rc = main(["percolate", "--mode", mode, "--N", "5", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "y=0 is not a site of level 15" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["percolate", "--mode", mode, "--N", "5", "--x", "1", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "x=1 is not a site of level 0" in capsys.readouterr().err
+    assert not out.exists()

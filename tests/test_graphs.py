@@ -251,3 +251,18 @@ def test_graph_equality_and_immutability():
     with pytest.raises(AttributeError):
         g.num_vertices = 7
     assert list(g.edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("spec", ["torus2d:5x5", "cycle:9", "path:7", "complete:5"])
+def test_heuristic_path_is_the_shortest_path_to_the_first_farthest_vertex(spec):
+    """Each anchored heuristic search returns shortest_path from the anchor
+    to the first vertex at the largest distance."""
+    g = parse_graph_spec(spec)
+    best = None
+    for u in range(g.num_vertices):
+        lengths = [shortest_path(g, u, v).length for v in range(g.num_vertices)]
+        path = shortest_path(g, u, lengths.index(max(lengths)))
+        assert longest_chain(g, mode="heuristic", anchor=u) == path
+        if best is None or path.length > best.length:
+            best = path
+    assert longest_chain(g, mode="heuristic") == best
