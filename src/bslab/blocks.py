@@ -47,7 +47,6 @@ __all__ = [
     "sample_block2_stats",
     "sample_block4_stats",
     "chain_to_percolation",
-    "block_stats_rows",
 ]
 
 _EPS = 1e-9
@@ -228,7 +227,7 @@ class _NiceSpec:
     orders: tuple[tuple[int, ...], ...]
 
 
-@functools.lru_cache
+@functools.cache
 def _nice_spec(g: Graph, sites: tuple[int, ...]) -> _NiceSpec:
     """The spec of the pair block (two sites) or the four-block (four).
 
@@ -691,14 +690,3 @@ def chain_to_percolation(
         bl.append(np.array([m >= 1 and nice(m - 1, n + 1) for m in ms], dtype=bool))
         br.append(np.array([m < 2 * N and nice(m + 1, n + 1) for m in ms], dtype=bool))
     return StripField(N, levels, tuple(bl), tuple(br), None)
-
-
-def block_stats_rows(stats) -> list[str]:
-    """CSV lines for a collection of BlockStats."""
-    rows = ["flavor,p,d,L,blocks_sampled,nice_rate,stderr,analytic_lb"]
-    for st in stats:
-        rows.append(
-            f"{st.flavor},{st.p!r},{st.d},{st.L!r},{st.n_samples},"
-            f"{st.nice_rate!r},{st.stderr!r},{st.analytic_lb!r}"
-        )
-    return rows

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .blocks import (
     block4_independence_check,
-    block_stats_rows,
     sample_block2_stats,
     sample_block4_stats,
     sample_stick_stats,
@@ -45,21 +44,21 @@ from .bounds import (
     theta_4block,
     tilde_L,
 )
-from .drift import scan_rows, verify_all_bounds
+from .drift import verify_all_bounds
 from .dynamics import (
     ModelParams,
     all_ones,
     all_zeros,
     classical_fitness_samples,
-    event_log_rows,
     format_configuration,
+    format_state,
     parse_configuration,
     random_configuration,
     replay,
     sample_graphical,
     step_discrete,
 )
-from .exact import build_kernel, marginals, stationary, stationary_rows
+from .exact import build_kernel, marginals, stationary
 from .graphs import (
     BudgetExceeded,
     chain_cover,
@@ -79,9 +78,7 @@ from .montecarlo import (
 )
 from .percolation import (
     LevelSet,
-    _check_site,
     contour_bounds,
-    prob_connect,
     prob_connect_theta_sweep,
     prob_good_level,
     sites_at_level,
@@ -90,7 +87,9 @@ from .rng import substream
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip text for CSV cells."""
+    """Shortest round-trip text for CSV cells; None is an empty cell."""
+    if x is None:
+        return ""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (np.integer,)):
@@ -99,32 +98,27 @@ def _fmt(x) -> str:
 
 
 class Run:
-    """Collects CSV outputs of one command and writes the manifest."""
+    """Collects CSV outputs of one command and writes the manifest.
+
+    --out is created at the first write, so a command that fails before
+    writing anything leaves no directory behind."""
 
     def __init__(self, args: argparse.Namespace, command: str) -> None:
         self.command = command
         self.args = args
         self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.started_at = datetime.now(timezone.utc).isoformat()
         self._t0 = time.perf_counter()
 
-    def write_csv(self, name: str, header, rows) -> Path:
-        path = self.out / name
-        with open(path, "w", newline="") as fh:
+    def write_csv(self, name: str, header, rows) -> None:
+        self.out.mkdir(parents=True, exist_ok=True)
+        with open(self.out / name, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             for row in rows:
                 w.writerow([_fmt(c) for c in row])
         self.outputs.append(name)
-        return path
-
-    def write_lines(self, name: str, lines) -> Path:
-        path = self.out / name
-        path.write_text("\n".join(lines) + "\n")
-        self.outputs.append(name)
-        return path
 
     def finish(self) -> int:
         import mpmath
@@ -150,6 +144,7 @@ class Run:
             "wall_time_s": round(time.perf_counter() - self._t0, 3),
             "outputs": self.outputs,
         }
+        self.out.mkdir(parents=True, exist_ok=True)
         with open(self.out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -200,6 +195,21 @@ _ESTIMATE_HEADER = (
 
 _PERCOLATION_HEADER = ("N", "theta", "K", "h", "functional", "estimate", "stderr", "n_samples", "seed")
 
+_BLOCK_STATS_HEADER = ("flavor", "p", "d", "L", "blocks_sampled", "nice_rate", "stderr", "analytic_lb")
+
+
+def _block_stats_row(st):
+    return (st.flavor, st.p, st.d, st.L, st.n_samples, st.nice_rate, st.stderr, st.analytic_lb)
+
+
+def _connect_rows(N, thetas, K, x, y, n_samples, seed):
+    """percolation.csv rows of P[x -> y] on shared uniforms, theta ascending."""
+    res = prob_connect_theta_sweep(N, thetas, K, x, y, n_samples, seed)
+    return [
+        (N, t, K, "", "prob_connect", est.mean, est.stderr, n_samples, seed)
+        for t, est in sorted(res.items())
+    ]
+
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -230,7 +240,12 @@ def cmd_simulate(args) -> int:
         if args.snapshot_every > 0:
             snaps = np.arange(args.snapshot_every, args.horizon + 1e-12, args.snapshot_every)
         res = replay(g, config0, gc, snapshot_times=snaps, allones=args.allones)
-        run.write_csv("events.csv", ("time", "vertex", "applied", "marks"), event_log_rows(g, res))
+        # marks over the ringing vertex's closed neighbourhood, sorted-id order
+        run.write_csv(
+            "events.csv",
+            ("time", "vertex", "applied", "marks"),
+            [(t, x, int(fired), format_configuration(row)) for t, x, fired, row in res.log],
+        )
         if snaps is not None:
             run.write_csv(
                 "snapshots.csv",
@@ -262,14 +277,15 @@ def cmd_exact(args) -> int:
     tm = build_kernel(g, params, allones=args.allones)
     sd = stationary(tm, flavor=args.flavor)
     mg = marginals(sd, g)
-    run.write_csv("stationary.csv", ("state_bits", "probability"), stationary_rows(sd, g))
-    rows = []
-    for x in range(g.num_vertices):
-        rows.append(("vertex_one", x, mg.vertex_one[x]))
-    for j in range(g.num_vertices + 1):
-        rows.append(("ones_hist", j, float(mg.ones_hist[j])))
-    for k in range(g.num_vertices + 1):
-        rows.append(("zeros_tail_gt", k, float(mg.zeros_tail[k])))
+    n = g.num_vertices
+    run.write_csv(
+        "stationary.csv",
+        ("state_bits", "probability"),
+        [(format_state(s, n), p) for s, p in enumerate(sd.probs.tolist())],
+    )
+    rows = [("vertex_one", x, v) for x, v in enumerate(mg.vertex_one)]
+    rows += [("ones_hist", j, v) for j, v in enumerate(mg.ones_hist)]
+    rows += [("zeros_tail_gt", k, v) for k, v in enumerate(mg.zeros_tail)]
     run.write_csv("marginals.csv", ("kind", "index", "value"), rows)
     print(
         f"stationary ({sd.flavor}) residual {sd.residual:.3e}; "
@@ -410,7 +426,7 @@ def cmd_blocks(args) -> int:
         if chain is None:
             chain = _auto_chain(g, 4)
         st = sample_block4_stats(g, params, chain, args.k0, L, args.n_samples, seed)
-    run.write_lines("block_stats.csv", block_stats_rows([st]))
+    run.write_csv("block_stats.csv", _BLOCK_STATS_HEADER, [_block_stats_row(st)])
     print(
         f"{st.flavor}: nice rate {st.nice_rate!r} +- {st.stderr!r}, "
         f"analytic lb {st.analytic_lb!r}"
@@ -419,10 +435,6 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_percolate(args) -> int:
-    if args.mode in ("connect", "sweep"):
-        # before Run creates --out, so a target that is not a site leaves no directory
-        _check_site(args.N, 0, args.x, "x")
-        _check_site(args.N, args.K * args.N, args.y, "y")
     run = Run(args, "percolate")
     rows = []
     if args.mode == "contour":
@@ -437,21 +449,14 @@ def cmd_percolate(args) -> int:
             f"short {rep.short_sum!r}, long {rep.long_term!r}, "
             f"side condition {'ok' if rep.side_ok else 'FAILS'}"
         )
-    elif args.mode == "connect":
+    elif args.mode in ("connect", "sweep"):
         seed = _require_seed(args)
-        est = prob_connect(args.N, args.theta, args.K, args.x, args.y, args.n_samples, seed)
-        rows.append(
-            (args.N, args.theta, args.K, "", "prob_connect", est.mean, est.stderr, args.n_samples, seed)
-        )
-        print(f"P[{args.x} -> {args.y}] = {est.mean!r} +- {est.stderr!r}")
-    elif args.mode == "sweep":
-        seed = _require_seed(args)
-        thetas = [float(t) for t in args.thetas.split(",")]
-        res = prob_connect_theta_sweep(args.N, thetas, args.K, args.x, args.y, args.n_samples, seed)
-        for t in sorted(res):
-            est = res[t]
-            rows.append((args.N, t, args.K, "", "prob_connect", est.mean, est.stderr, args.n_samples, seed))
-            print(f"theta {t!r}: {est.mean!r} +- {est.stderr!r}")
+        connect = args.mode == "connect"
+        thetas = [args.theta] if connect else [float(t) for t in args.thetas.split(",")]
+        rows = _connect_rows(args.N, thetas, args.K, args.x, args.y, args.n_samples, seed)
+        for _, t, _, _, _, mean, stderr, _, _ in rows:
+            label = f"P[{args.x} -> {args.y}] =" if connect else f"theta {t!r}:"
+            print(f"{label} {mean!r} +- {stderr!r}")
     else:
         seed = _require_seed(args)
         B = LevelSet.from_sites(args.N, 0, list(sites_at_level(args.N, 0)))
@@ -465,14 +470,14 @@ def cmd_percolate(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    if args.p is not None and args.q is not None:
+        raise ValueError("give at most one of --p or --q")
     run = Run(args, "formulas")
     have = {"d": args.d}
     if args.p is not None:
-        have["p"] = args.p
-        have["q"] = 1.0 - args.p
-    if args.q is not None:
-        have["q"] = args.q
-        have.setdefault("p", 1.0 - args.q)
+        have.update(p=args.p, q=1.0 - args.p)
+    elif args.q is not None:
+        have.update(p=1.0 - args.q, q=args.q)
     if args.L is not None:
         have["L"] = args.L
     if args.a is not None:
@@ -528,7 +533,7 @@ def cmd_drift(args) -> int:
     run.write_csv(
         "drift_scan.csv",
         ("graph", "q", "h", "config_bits", "cond_type", "m", "exact_drift", "bound", "margin"),
-        scan_rows(report, args.graph),
+        [(args.graph, report.q, report.h, *row) for row in report.rows],
     )
     verdict = "hold" if report.all_hold else "VIOLATED"
     sign = "negative" if report.all_negative else "NOT all negative"
@@ -674,7 +679,7 @@ def _preset_block_bounds(run: Run, seed: int, threads: int) -> None:
             stats.append(sample_stick_stats(g, params, chain[0], A, Lh, n, seed))
             stats.append(sample_block2_stats(g, params, chain[0], chain[1], Lh, n, seed))
             stats.append(sample_block4_stats(g, params, chain, 0, Lt, n, seed))
-    run.write_lines("block_bounds.csv", block_stats_rows(stats))
+    run.write_csv("block_bounds.csv", _BLOCK_STATS_HEADER, map(_block_stats_row, stats))
 
 
 def _preset_percolation_sweep(run: Run, seed: int, threads: int) -> None:
@@ -682,11 +687,7 @@ def _preset_percolation_sweep(run: Run, seed: int, threads: int) -> None:
     bound shapes.  Budget: 1500 samples on a width-6 strip, seconds."""
     N, K = 6, 3
     thetas = (0.90, 0.93, 0.96, 0.99)
-    res = prob_connect_theta_sweep(N, thetas, K, 0, 0, 1_500, seed)
-    rows = []
-    for t in sorted(res):
-        est = res[t]
-        rows.append((N, t, K, "", "prob_connect", est.mean, est.stderr, 1_500, seed))
+    rows = _connect_rows(N, thetas, K, 0, 0, 1_500, seed)
     h = 0.75
     for t in thetas:
         rep = contour_bounds(N, t, h, K)

@@ -40,7 +40,6 @@ __all__ = [
     "CheckStat",
     "ScanReport",
     "verify_all_bounds",
-    "scan_rows",
     "increment_bound",
 ]
 
@@ -457,23 +456,3 @@ def verify_all_bounds(
         tuple(rows),
         tuple(notes),
     )
-
-
-def scan_rows(report: ScanReport, graph_label: str) -> list[tuple[str, ...]]:
-    """CSV rows: graph,q,h,config_bits,cond_type,m,exact_drift,bound,margin."""
-    out = []
-    for bits, vtype, m, exact, bound, margin in report.rows:
-        out.append(
-            (
-                graph_label,
-                repr(report.q),
-                repr(report.h),
-                bits,
-                str(vtype),
-                str(m),
-                repr(exact),
-                "" if bound is None else repr(bound),
-                "" if margin is None else repr(margin),
-            )
-        )
-    return out

@@ -39,7 +39,6 @@ __all__ = [
     "sample_graphical_batch",
     "replay",
     "classical_fitness_samples",
-    "event_log_rows",
 ]
 
 ALLONES_SEMANTICS = ("resample", "frozen")
@@ -330,18 +329,6 @@ def replay(
         snapshots.append(np.array(cfg, dtype=np.uint8))
         si += 1
     return ReplayResult(np.array(cfg, dtype=np.uint8), log, snapshots, applied, muted)
-
-
-def event_log_rows(g: Graph, result: ReplayResult) -> list[tuple[str, str, str, str]]:
-    """Event log as CSV rows (time, vertex, applied, marks bitstring).
-
-    Marks are reported over the ringing vertex's closed neighbourhood in
-    sorted-id order.
-    """
-    rows = []
-    for t, x, fired, row in result.log:
-        rows.append((repr(t), str(x), "1" if fired else "0", "".join(str(int(b)) for b in row)))
-    return rows
 
 
 def classical_fitness_samples(

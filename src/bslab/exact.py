@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams, format_state
+from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams
 from .graphs import Graph, closed_neighbourhood
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "EscapeEntryReport",
     "tail_geometric_fit",
     "GeomTailFit",
-    "stationary_rows",
 ]
 
 # stopping tolerance in l1: on the last power step's change (embedded), and
@@ -467,10 +466,3 @@ def tail_geometric_fit(sd: StationaryDist, g: Graph) -> GeomTailFit:
     fit = intercept + slope * ks
     rms = float(np.sqrt(np.mean((fit - y) ** 2)))
     return GeomTailFit(float(np.exp(intercept)), float(-slope), int(ks[0]), int(ks[-1]), rms)
-
-
-def stationary_rows(sd: StationaryDist, g: Graph) -> list[tuple[str, str]]:
-    """CSV rows (state_bits, probability), states ascending; bit x of the
-    state integer is the fitness of vertex x, printed vertex 0 first."""
-    n = g.num_vertices
-    return [(format_state(s, n), repr(p)) for s, p in enumerate(sd.probs.tolist())]

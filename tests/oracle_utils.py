@@ -1,4 +1,5 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
+import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from bslab.dynamics import (
     ModelParams,
     ReplayResult,
     _graphical_chunks,
+    format_state,
 )
 from bslab.exact import (
     _STATIONARY_MAX_ITER,
@@ -925,3 +927,62 @@ def sample_block4_stats_oracle(g, params, chain, k0, L, n_samples, seed) -> Bloc
     req = required_goods_quad(g, sites)
     lb = theta_4block(L, params.p, g.max_degree)
     return _direct_stats_oracle("four", g, params, sites, req, _ORDERS4, L, n_samples, seed, lb)
+
+
+# ---------------------------------------------------------------------------
+# the library's CSV row builders and the second writer that cli.write_csv
+# replaced; the command line's CSV files must match what these write, byte
+# for byte
+
+
+def write_lines_oracle(path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_rows_oracle(path, header, rows) -> None:
+    """The CSV writer applied to rows whose cells are already strings."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def stationary_rows_oracle(sd: StationaryDist, g: Graph) -> list[tuple[str, str]]:
+    n = g.num_vertices
+    return [(format_state(s, n), repr(p)) for s, p in enumerate(sd.probs.tolist())]
+
+
+def scan_rows_oracle(report: ScanReport, graph_label: str) -> list[tuple[str, ...]]:
+    out = []
+    for bits, vtype, m, exact, bound, margin in report.rows:
+        out.append(
+            (
+                graph_label,
+                repr(report.q),
+                repr(report.h),
+                bits,
+                str(vtype),
+                str(m),
+                repr(exact),
+                "" if bound is None else repr(bound),
+                "" if margin is None else repr(margin),
+            )
+        )
+    return out
+
+
+def event_log_rows_oracle(g: Graph, result: ReplayResult) -> list[tuple[str, str, str, str]]:
+    rows = []
+    for t, x, fired, row in result.log:
+        rows.append((repr(t), str(x), "1" if fired else "0", "".join(str(int(b)) for b in row)))
+    return rows
+
+
+def block_stats_rows_oracle(stats) -> list[str]:
+    rows = ["flavor,p,d,L,blocks_sampled,nice_rate,stderr,analytic_lb"]
+    for st in stats:
+        rows.append(
+            f"{st.flavor},{st.p!r},{st.d},{st.L!r},{st.n_samples},"
+            f"{st.nice_rate!r},{st.stderr!r},{st.analytic_lb!r}"
+        )
+    return rows

@@ -13,6 +13,7 @@ from bslab.blocks import (
     IndependenceReport,
     Stick,
     _has_increasing_rings,
+    _nice_spec,
     _rings_in_order,
     block2_is_nice,
     block2_proposition_check,
@@ -20,7 +21,6 @@ from bslab.blocks import (
     block4_is_nice,
     block4_propagation_check,
     block4_ring_pattern_sufficient,
-    block_stats_rows,
     blocks_separated,
     chain_to_percolation,
     required_goods_pair,
@@ -35,6 +35,7 @@ from bslab.bounds import block2_nice_lb, hat_L, stick_good_lb, theta_4block, til
 from bslab.dynamics import (
     GraphicalConstruction,
     ModelParams,
+    sample_graphical,
     sample_graphical_batch,
 )
 from bslab.graphs import closed_neighbourhood, generate
@@ -575,15 +576,14 @@ def test_chain_to_percolation_validation():
         )
 
 
-def test_block_stats_rows_format():
-    g = generate("cycle", 12)
-    params = ModelParams(p=0.05)
-    st = sample_stick_stats(g, params, 3, [2, 3], 1.0, 2000, 5)
-    lines = block_stats_rows([st, st])
-    assert len(lines) == 3
-    assert lines[0].startswith("flavor,")
-    cells = lines[1].split(",")
-    assert cells[0] == "stick"
-    assert float(cells[1]) == pytest.approx(0.05)
-    assert int(cells[4]) == 2000
-    assert 0.0 <= float(cells[5]) <= 1.0
+def test_nice_spec_cache_holds_every_block_of_a_long_chain():
+    """The two-site blocks of a chain are its consecutive pairs; a strip
+    asks for each of them on several levels, and each spec is built once."""
+    g = generate("cycle", 300)
+    chain = tuple(range(298))
+    gc = sample_graphical(g, ModelParams(p=0.01), 12.0, seed=7)
+    _nice_spec.cache_clear()
+    chain_to_percolation(g, chain, gc, 2.0)
+    info = _nice_spec.cache_info()
+    assert info.hits > 0
+    assert info.misses == len(chain) - 1

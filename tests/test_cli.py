@@ -11,8 +11,22 @@ import pytest
 
 import bslab
 from bslab import cli
-from bslab.bounds import FORMULAS
+from bslab.blocks import sample_block2_stats, sample_block4_stats, sample_stick_stats
+from bslab.bounds import FORMULAS, choose_h, hat_L, tilde_L
 from bslab.cli import main
+from bslab.drift import verify_all_bounds
+from bslab.dynamics import ModelParams, random_configuration, replay, sample_graphical
+from bslab.exact import build_kernel, marginals, stationary
+from bslab.graphs import closed_neighbourhood, parse_graph_spec, shortest_path
+from bslab.rng import substream
+from oracle_utils import (
+    block_stats_rows_oracle,
+    event_log_rows_oracle,
+    scan_rows_oracle,
+    stationary_rows_oracle,
+    write_lines_oracle,
+    write_rows_oracle,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -386,4 +400,180 @@ def test_percolate_target_off_level_leaves_no_directory(tmp_path, capsys, mode):
                "--out", str(out)])
     assert rc == 2
     assert "x=1 is not a site of level 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stationary_rows_format(tmp_path):
+    rc = main(["exact", "--graph", "cycle:4", "--p", "0.4", "--flavor", "embedded",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rows = read_csv(tmp_path / "stationary.csv")[1:]
+    assert len(rows) == 16
+    assert rows[0][0] == "0000"
+    total = sum(float(p) for _, p in rows)
+    assert abs(total - 1.0) < 1e-9
+    # vertex 0 is the first character: rows with bit 0 set sum to its marginal
+    g = parse_graph_spec("cycle:4")
+    mg = marginals(stationary(build_kernel(g, ModelParams(p=0.4)), flavor="embedded"), g)
+    m0 = sum(float(p) for bits, p in rows if bits[0] == "1")
+    assert m0 == pytest.approx(mg.vertex_one[0], abs=1e-10)
+
+
+def test_block_stats_rows_format(tmp_path):
+    rc = main(["blocks", "--graph", "cycle:12", "--p", "0.05", "--flavor", "stick",
+               "--base", "3", "--a-size", "2", "--L", "1.0", "--n-samples", "2000",
+               "--seed", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = read_csv(tmp_path / "block_stats.csv")
+    assert len(lines) == 2
+    assert lines[0][0] == "flavor"
+    cells = lines[1]
+    assert cells[0] == "stick"
+    assert float(cells[1]) == pytest.approx(0.05)
+    assert int(cells[4]) == 2000
+    assert 0.0 <= float(cells[5]) <= 1.0
+
+
+def test_scan_rows_and_report_rows(tmp_path):
+    q = 0.3
+    blanks = 0
+    for spec in ("cycle:5", "path:5"):
+        out = tmp_path / spec.replace(":", "")
+        rc = main(["drift", "--graph", spec, "--q", str(q), "--out", str(out)])
+        assert rc == 0
+        rep = verify_all_bounds(parse_graph_spec(spec), ModelParams.from_q(q), choose_h(q, 2))
+        rows = read_csv(out / "drift_scan.csv")[1:]
+        assert len(rows) == len(rep.rows)
+        for row in rows:
+            assert len(row) == 9
+            assert row[0] == spec
+            assert float(row[1]) == pytest.approx(q)
+            assert row[4] in ("1", "2")
+            float(row[6])
+            # bound and margin are blank only together
+            assert (row[7] == "") == (row[8] == "")
+            if row[7]:
+                assert float(row[7]) - float(row[6]) == pytest.approx(float(row[8]), abs=1e-12)
+            else:
+                blanks += 1
+    # the irregular path leaves every bound blank
+    assert blanks > 0
+
+
+def test_event_log_rows_format(tmp_path):
+    rc = main(["simulate", "--graph", "cycle:4", "--p", "0.5", "--horizon", "2.0",
+               "--init", "zeros", "--seed", "31", "--out", str(tmp_path)])
+    assert rc == 0
+    g = parse_graph_spec("cycle:4")
+    gc = sample_graphical(g, ModelParams(p=0.5), 2.0, seed=31)
+    rows = read_csv(tmp_path / "events.csv")[1:]
+    assert len(rows) == sum(len(t) for t in gc.times)
+    for t_str, x_str, applied, marks in rows:
+        assert float(t_str) > 0
+        assert applied in ("0", "1")
+        assert set(marks) <= {"0", "1"}
+        assert len(marks) == len(closed_neighbourhood(g, int(x_str)))
+    times = [float(r[0]) for r in rows]
+    assert times == sorted(times)
+
+
+def _stationary_oracle(path, graph, p, flavor, allones):
+    g = parse_graph_spec(graph)
+    sd = stationary(build_kernel(g, ModelParams(p=p), allones=allones), flavor=flavor)
+    write_rows_oracle(path, ("state_bits", "probability"), stationary_rows_oracle(sd, g))
+
+
+def _events_oracle(path, graph, p, horizon, seed):
+    g = parse_graph_spec(graph, seed=seed)
+    params = ModelParams(p=p)
+    config0 = random_configuration(g, params, substream(seed, 11))
+    res = replay(g, config0, sample_graphical(g, params, horizon, seed))
+    write_rows_oracle(path, ("time", "vertex", "applied", "marks"), event_log_rows_oracle(g, res))
+
+
+def _block_stats_oracle(path, flavor, p, L, n_samples, seed):
+    g, params = parse_graph_spec("torus2d:5x5"), ModelParams(p=p)
+    if flavor == "stick":
+        st = sample_stick_stats(g, params, 0, closed_neighbourhood(g, 0)[:2], L, n_samples, seed)
+    elif flavor == "two":
+        st = sample_block2_stats(g, params, 0, 1, L, n_samples, seed)
+    else:
+        st = sample_block4_stats(g, params, (0, 1, 2, 7, 12), 0, L, n_samples, seed)
+    write_lines_oracle(path, block_stats_rows_oracle([st]))
+
+
+def _block_bounds_oracle(path, seed):
+    stats = []
+    for d, spec in ((2, "cycle:12"), (4, "torus2d:5x5")):
+        g = parse_graph_spec(spec)
+        chain = tuple(range(10)) if d == 2 else shortest_path(g, 0, 12).vertices
+        A = closed_neighbourhood(g, chain[0])
+        for p in (0.02, 0.01, 0.005, 0.0015):
+            params = ModelParams(p=p)
+            Lh, Lt = hat_L(p, d), tilde_L(p, d)
+            stats.append(sample_stick_stats(g, params, chain[0], A, Lh, 20_000, seed))
+            stats.append(sample_block2_stats(g, params, chain[0], chain[1], Lh, 20_000, seed))
+            stats.append(sample_block4_stats(g, params, chain, 0, Lt, 20_000, seed))
+    write_lines_oracle(path, block_stats_rows_oracle(stats))
+
+
+def _drift_oracle(path, graph, q):
+    g, params = parse_graph_spec(graph), ModelParams.from_q(q)
+    rep = verify_all_bounds(g, params, choose_h(params.q, g.max_degree), keep_rows=True)
+    header = ("graph", "q", "h", "config_bits", "cond_type", "m", "exact_drift", "bound", "margin")
+    write_rows_oracle(path, header, scan_rows_oracle(rep, graph))
+
+
+@pytest.mark.parametrize("argv,name,oracle,oracle_args", [
+    (["exact", "--graph", "cycle:6", "--p", "0.3"], "stationary.csv",
+     _stationary_oracle, ("cycle:6", 0.3, "continuous", "resample")),
+    (["exact", "--graph", "torus2d:3x3", "--p", "0.2", "--flavor", "embedded",
+      "--allones", "frozen"], "stationary.csv",
+     _stationary_oracle, ("torus2d:3x3", 0.2, "embedded", "frozen")),
+    (["simulate", "--graph", "cycle:6", "--p", "0.3", "--horizon", "5", "--seed", "2"],
+     "events.csv", _events_oracle, ("cycle:6", 0.3, 5.0, 2)),
+    *[
+        (["blocks", "--graph", "torus2d:5x5", "--p", "0.01", "--flavor", flavor,
+          "--chain", "0,1,2,7,12", "--L", "3.0", "--n-samples", "3000", "--seed", "8"],
+         "block_stats.csv", _block_stats_oracle, (flavor, 0.01, 3.0, 3000, 8))
+        for flavor in ("stick", "two", "four")
+    ],
+    (["preset", "--name", "block_bounds", "--seed", "3"], "block_bounds.csv",
+     _block_bounds_oracle, (3,)),
+    (["drift", "--graph", "cycle:6", "--q", "0.3"], "drift_scan.csv",
+     _drift_oracle, ("cycle:6", 0.3)),
+    (["drift", "--graph", "path:6", "--q", "0.25"], "drift_scan.csv",
+     _drift_oracle, ("path:6", 0.25)),
+], ids=["exact-continuous", "exact-embedded", "simulate", "blocks-stick", "blocks-two",
+        "blocks-four", "preset-block_bounds", "drift-regular", "drift-irregular"])
+def test_csv_bytes_match_the_row_builder_oracles(tmp_path, argv, name, oracle, oracle_args):
+    """cli formats every cell itself; its files equal what the library's
+    row builders and the second line writer used to write."""
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    oracle(tmp_path / "oracle.csv", *oracle_args)
+    assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["percolate", "--mode", "connect", "--N", "4", "--n-samples", "1", "--seed", "1"],
+    ["percolate", "--N", "4", "--theta", "1.5", "--seed", "1"],
+    ["exact", "--graph", "complete:20", "--p", "0.3"],
+    ["simulate", "--graph", "cycle:5", "--p", "0.3", "--init", "0101", "--seed", "1"],
+    ["blocks", "--graph", "cycle:8", "--p", "0.01", "--chain", "0,2,4", "--seed", "1"],
+], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
+        "blocks-not-a-chain"])
+def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_formulas_reject_both_p_and_q(tmp_path, capsys):
+    out = tmp_path / "f"
+    rc = main(["formulas", "--d", "2", "--p", "0.3", "--q", "0.5", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give at most one of --p or --q" in captured.err
     assert not out.exists()

@@ -16,7 +16,6 @@ from bslab.drift import (
     exact_drift,
     increment_bound,
     lyapunov_f,
-    scan_rows,
     verify_all_bounds,
 )
 from bslab.dynamics import ModelParams
@@ -245,23 +244,11 @@ def test_scan_negative_below_threshold():
                 assert stat.count > 0
 
 
-def test_scan_rows_and_report_rows():
+def test_report_rows_one_per_site_update():
     g = generate("cycle", 5)
     q = 0.3
     rep = verify_all_bounds(g, ModelParams.from_q(q), choose_h(q, 2))
     assert rep.n_sites == sum(1 for r in rep.rows)
-    rows = scan_rows(rep, "cycle:5")
-    assert len(rows) == len(rep.rows)
-    for row in rows:
-        assert len(row) == 9
-        assert row[0] == "cycle:5"
-        assert float(row[1]) == pytest.approx(q)
-        assert row[4] in ("1", "2")
-        float(row[6])
-        # bound and margin are blank only together
-        assert (row[7] == "") == (row[8] == "")
-        if row[7]:
-            assert float(row[7]) - float(row[6]) == pytest.approx(float(row[8]), abs=1e-12)
 
 
 def test_scan_restricted_on_irregular_graph():

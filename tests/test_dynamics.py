@@ -9,7 +9,6 @@ from bslab.dynamics import (
     all_ones,
     all_zeros,
     classical_fitness_samples,
-    event_log_rows,
     format_configuration,
     parse_configuration,
     random_configuration,
@@ -200,21 +199,6 @@ def test_allones_frozen_absorbs():
     assert res.final.sum() == 5
     res2 = replay(g, all_ones(g), gc, allones="resample")
     assert res2.applied_count > 0
-
-
-def test_event_log_rows_format():
-    g = generate("cycle", 4)
-    gc = sample_graphical(g, ModelParams(p=0.5), 2.0, seed=31)
-    res = replay(g, all_zeros(g), gc)
-    rows = event_log_rows(g, res)
-    assert len(rows) == sum(len(t) for t in gc.times)
-    for t_str, x_str, applied, marks in rows:
-        assert float(t_str) > 0
-        assert applied in ("0", "1")
-        assert set(marks) <= {"0", "1"}
-        assert len(marks) == len(closed_neighbourhood(g, int(x_str)))
-    times = [float(r[0]) for r in rows]
-    assert times == sorted(times)
 
 
 def test_embedded_chain_of_continuous_matches_exact_kernel():

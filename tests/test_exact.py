@@ -12,7 +12,6 @@ from bslab.exact import (
     escape_entry_check,
     marginals,
     stationary,
-    stationary_rows,
     tail_geometric_fit,
 )
 from bslab.graphs import generate
@@ -233,17 +232,3 @@ def test_tail_geometric_fit_recovers_synthetic_slope():
     fit = tail_geometric_fit(sd, g)
     assert fit.c2 == pytest.approx(-np.log(rho), rel=0.05)
     assert fit.rms < 0.1
-
-
-def test_stationary_rows_format():
-    g, tm = _model(n=4, p=0.4)
-    sd = stationary(tm, flavor="embedded")
-    rows = stationary_rows(sd, g)
-    assert len(rows) == 16
-    assert rows[0][0] == "0000"
-    total = sum(float(p) for _, p in rows)
-    assert abs(total - 1.0) < 1e-9
-    # vertex 0 is the first character: rows with bit 0 set sum to its marginal
-    mg = marginals(sd, g)
-    m0 = sum(float(p) for bits, p in rows if bits[0] == "1")
-    assert m0 == pytest.approx(mg.vertex_one[0], abs=1e-10)
