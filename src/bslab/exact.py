@@ -8,6 +8,12 @@ The continuous-time stationary law reweights the embedded one by the
 expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
 
+`build_kernel` assembles the kernel in row blocks of at most 2^20 COO
+entries (_BLOCK_ENTRIES), each converted to CSR on its own and copied
+into kernel arrays allocated once.  The conversion sorts and sums
+duplicates row by row, so the kernel is the same bits as one whole-matrix
+conversion, and the build holds about 12 B per entry instead of 28 B.
+
 `stationary` runs power iteration as a row-gather product on P^T.  Its
 `residual` is the l1 change of the last power step for the embedded
 flavor, and the l1 flux residual |(pi r) P - pi r|_1 of the reweighted law
@@ -57,7 +63,17 @@ __all__ = [
 _STATIONARY_TOL = 1e-10
 _STATIONARY_MAX_ITER = 2_000_000
 _MAX_VERTICES = 30  # states and kernel indices are int32
-_BYTES_PER_ENTRY = 16 + 12  # int32 row, col, float64 value (COO) + CSR index, value
+# memory guard per COO entry: 12 B of kernel (int32 index, float64 value),
+# another 12 B for the transpose `stationary` makes, and 4 B of headroom for
+# one block of scratch, so no kernel refused by the whole-matrix build (16 B
+# of COO + 12 B of CSR per entry) is accepted
+_BYTES_PER_ENTRY = 28
+# most COO entries in one row block (16 MiB of scratch, 12 MiB of block
+# CSR).  On a 2-vCPU Xeon guest, cycle:16 then torus2d:4x4 built and solved
+# peaked at 373, 377, 396 and 418 MB with blocks of 2^16, 2^18, 2^20 and
+# 2^22 entries (520 MB whole-matrix): freed blocks stay in the heap.  The
+# torus2d:4x4 build took 0.71-0.96 s, with no trend across those sizes
+_BLOCK_ENTRIES = 1 << 20
 _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
 # smallest kernel whose power steps are split with a helper process.  On a
 # 2-vCPU Xeon guest, forking and reaping the helper cost 4-6 ms and a split
@@ -103,14 +119,55 @@ def _kernel_entries(g: Graph, allones: str) -> int:
     return (1 << (n - 1)) * sum(outcomes) + ones_row
 
 
+def _block_csr(pats, allones: str, zero_counts: np.ndarray, a: int, b: int, scratch) -> sp.csr_matrix:
+    """Rows [a, b) of the kernel as a (b - a) x 2^n CSR matrix.
+
+    The COO triplets are filled into the scratch arrays in the order of a
+    whole-matrix build: site by site, then the all-ones row, which is the
+    only row with no zero.
+    """
+    rows, cols, vals = scratch
+    n, size = len(pats), len(zero_counts)
+    block = np.arange(a, b, dtype=np.int32)
+    at = 0
+    for v, (clear, targets, weights) in enumerate(pats):
+        v_zero = ((block >> v) & 1) == 0
+        src = block[v_zero]
+        share = 1.0 / zero_counts[a:b][v_zero]
+        shape = (len(src), len(targets))
+        end = at + shape[0] * shape[1]
+        rows[at:end].reshape(shape)[...] = (src - a)[:, None]
+        np.bitwise_or((src & ~clear)[:, None], targets, out=cols[at:end].reshape(shape))
+        np.multiply(share[:, None], weights, out=vals[at:end].reshape(shape))
+        at = end
+    ones_state = size - 1
+    if b == size and allones == "resample":
+        for clear, targets, weights in pats:
+            end = at + len(targets)
+            rows[at:end] = ones_state - a
+            np.bitwise_or(ones_state & ~clear, targets, out=cols[at:end])
+            np.divide(weights, n, out=vals[at:end])
+            at = end
+    elif b == size:
+        rows[at], cols[at], vals[at] = ones_state - a, ones_state, 1.0
+        at += 1
+    return sp.coo_matrix((vals[:at], (rows[:at], cols[:at])), shape=(b - a, size)).tocsr()
+
+
 def build_kernel(
     g: Graph, params: ModelParams, allones: str = "resample", budget: int = 20
 ) -> TransitionModel:
     """Assemble the sparse embedded kernel for all 2^n states.
 
-    The int32 COO triplets are allocated once, at their known length, and
-    filled site by site; the build refuses to start when its estimated
-    peak (16 B per COO entry plus 12 B per CSR entry) exceeds physical memory.
+    Rows are assembled in blocks of at most _BLOCK_ENTRIES COO entries (or
+    one row, if a row holds more).  Each block is filled into one reused
+    int32/int32/float64 scratch triple and converted to CSR; a kernel of
+    one block is that CSR, and the blocks of a larger one are copied into
+    kernel arrays allocated once at the COO length.
+    The conversion sorts and sums each row on its own, so the kernel is the
+    same bits as one whole-matrix conversion.  The build refuses to start
+    when 28 B per COO entry exceed physical memory: 12 B of kernel, one
+    block of scratch, and another 12 B for the transpose `stationary` makes.
     """
     n = g.num_vertices
     if n > budget:
@@ -128,38 +185,50 @@ def build_kernel(
             f"more than the {have} bytes of physical memory"
         )
     size = 1 << n
+    ones_state = size - 1
     states = np.arange(size, dtype=np.int32)
     zero_counts = n - np.bitwise_count(states)
     pats = [_nbhd_patterns(g, params, v) for v in range(n)]
 
-    rows = np.empty(entries, dtype=np.int32)
-    cols = np.empty(entries, dtype=np.int32)
-    vals = np.empty(entries, dtype=np.float64)
-    at = 0
-    for v in range(n):
-        clear, targets, weights = pats[v]
-        v_zero = ((states >> v) & 1) == 0
-        src = states[v_zero]
-        share = 1.0 / zero_counts[v_zero]
-        shape = (len(src), len(targets))
-        end = at + shape[0] * shape[1]
-        rows[at:end].reshape(shape)[...] = src[:, None]
-        np.bitwise_or((src & ~clear)[:, None], targets, out=cols[at:end].reshape(shape))
-        np.multiply(share[:, None], weights, out=vals[at:end].reshape(shape))
-        at = end
-    ones_state = size - 1
-    if allones == "resample":
-        for v in range(n):
-            clear, targets, weights = pats[v]
-            end = at + len(targets)
-            rows[at:end] = ones_state
-            np.bitwise_or(ones_state & ~clear, targets, out=cols[at:end])
-            np.divide(weights, n, out=vals[at:end])
-            at = end
+    if entries <= _BLOCK_ENTRIES:
+        bounds, cap = [0, size], entries
     else:
-        rows[at] = cols[at] = ones_state
-        vals[at] = 1.0
-    kernel = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+        # starts[r]: COO entries of the rows before r
+        row_entries = np.zeros(size, dtype=np.int64)
+        for v, (_, targets, _) in enumerate(pats):
+            row_entries[((states >> v) & 1) == 0] += len(targets)
+        row_entries[ones_state] = entries - row_entries[:ones_state].sum()
+        starts = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(row_entries, out=starts[1:])
+        bounds = [0]
+        while bounds[-1] < size:
+            a = bounds[-1]
+            b = int(np.searchsorted(starts, starts[a] + _BLOCK_ENTRIES, side="right")) - 1
+            bounds.append(max(a + 1, b))
+        cap = int(np.diff(starts[bounds]).max())
+    scratch = (np.empty(cap, np.int32), np.empty(cap, np.int32), np.empty(cap, np.float64))
+    if len(bounds) == 2:
+        kernel = _block_csr(pats, allones, zero_counts, 0, size, scratch)
+    else:
+        idx = np.int32 if entries <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(size + 1, dtype=idx)
+        indices = np.empty(entries, dtype=idx)
+        data = np.empty(entries, dtype=np.float64)
+        nnz = 0
+        for a, b in zip(bounds, bounds[1:]):
+            part = _block_csr(pats, allones, zero_counts, a, b, scratch)
+            indices[nnz : nnz + part.nnz] = part.indices
+            data[nnz : nnz + part.nnz] = part.data
+            np.add(part.indptr[1:], nnz, out=indptr[a + 1 : b + 1])
+            nnz += part.nnz
+            del part  # before the next block's CSR is allocated
+        # set after construction, as in _row_range: the format check would
+        # copy index and value views holding less than half of their arrays
+        kernel = sp.csr_matrix((size, size), dtype=np.float64)
+        kernel.indptr = indptr
+        kernel.indices = indices[:nnz]
+        kernel.data = data[:nnz]
+        kernel.has_canonical_format = True
     exit_rates = zero_counts.astype(np.float64)
     exit_rates[ones_state] = float(n) if allones == "resample" else 0.0
     return TransitionModel(g, params, allones, kernel, exit_rates)
@@ -379,22 +448,28 @@ def _apply_t(tm: TransitionModel, F: np.ndarray, t: float, flavor: str) -> np.nd
     return expm_multiply(float(t) * q, F)
 
 
-def _escape_entry(tm: TransitionModel, a_mask, t: float, flavor: str):
-    """The state set A as a mask, and per state the time-t mass P_t(x, A^c)
-    (escape) and P_t(x, A) (entry), from one action on [1_{A^c}, 1_A]."""
+def _state_mask(tm: TransitionModel, a_mask) -> np.ndarray:
+    """The state set A as a boolean mask of length 2^n."""
     a_mask = np.asarray(a_mask, dtype=bool)
     size = tm.kernel.shape[0]
     if a_mask.shape != (size,):
         raise ValueError(f"A must be a mask of length 2^n = {size}, got shape {a_mask.shape}")
+    return a_mask
+
+
+def _escape_entry(tm: TransitionModel, a_mask: np.ndarray, t: float, flavor: str):
+    """Per state the time-t mass P_t(x, A^c) (escape) and P_t(x, A)
+    (entry), from one action on [1_{A^c}, 1_A]."""
     pt = _apply_t(tm, np.column_stack([~a_mask, a_mask]), t, flavor)
-    return a_mask, pt[:, 0], pt[:, 1]
+    return pt[:, 0], pt[:, 1]
 
 
 def balance_residual(
     tm: TransitionModel, sd: StationaryDist, a_mask: np.ndarray, t: float, flavor: str
 ) -> float:
     """|flux out of A - flux into A| under the time-t transition law."""
-    a_mask, escape, entry = _escape_entry(tm, a_mask, t, flavor)
+    a_mask = _state_mask(tm, a_mask)
+    escape, entry = _escape_entry(tm, a_mask, t, flavor)
     pi = sd.probs
     out_flux = float(pi[a_mask] @ escape[a_mask])
     in_flux = float(pi[~a_mask] @ entry[~a_mask])
@@ -429,9 +504,10 @@ def escape_entry_check(
     c is the worst-case time-t escape mass from A, eps the worst-case
     entry mass from outside; c = 0 makes the bound vacuous.
     """
-    a_mask, escape, entry = _escape_entry(tm, a_mask, t, flavor)
+    a_mask = _state_mask(tm, a_mask)
     if not a_mask.any() or a_mask.all():
         raise ValueError("A must be a proper nonempty subset of states")
+    escape, entry = _escape_entry(tm, a_mask, t, flavor)
     c = float(escape[a_mask].min())
     eps = float(entry[~a_mask].max())
     pi_a = float(sd.probs[a_mask].sum())

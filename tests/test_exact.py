@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bslab import exact
 from bslab.dynamics import ModelParams
 from bslab.exact import (
     Marginals,
@@ -201,6 +202,21 @@ def test_escape_entry_rejects_trivial_sets():
         escape_entry_check(tm, sd, np.zeros(16, dtype=bool), 1.0, "continuous")
     with pytest.raises(ValueError):
         escape_entry_check(tm, sd, np.ones(16, dtype=bool), 1.0, "continuous")
+
+
+def test_escape_entry_rejects_trivial_sets_before_the_time_t_product(monkeypatch):
+    g, tm = _model(n=4, p=0.4)
+    sd = stationary(tm, flavor="continuous")
+
+    def no_product(*args):
+        raise AssertionError("the time-t product ran")
+
+    monkeypatch.setattr(exact, "_apply_t", no_product)
+    for a_mask in (np.zeros(16, dtype=bool), np.ones(16, dtype=bool)):
+        with pytest.raises(ValueError, match="proper nonempty subset"):
+            escape_entry_check(tm, sd, a_mask, 1.0, "continuous")
+    with pytest.raises(ValueError, match="length 2\\^n = 16"):
+        escape_entry_check(tm, sd, np.ones(8, dtype=bool), 1.0, "continuous")
 
 
 def test_tail_geometric_fit_positive_slope_in_subcritical_regime():
