@@ -8,11 +8,19 @@ The continuous-time stationary law reweights the embedded one by the
 expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
 
-`build_kernel` assembles the kernel in row blocks of at most 2^20 COO
+`build_kernel` assembles the kernel in row blocks of at most 2^18 COO
 entries (_BLOCK_ENTRIES), each converted to CSR on its own and copied
 into kernel arrays allocated once.  The conversion sorts and sums
 duplicates row by row, so the kernel is the same bits as one whole-matrix
 conversion, and the build holds about 12 B per entry instead of 28 B.
+A kernel of several blocks and at least 500,000 COO entries
+(_SPLIT_MIN_NNZ), where `os.fork`, two CPUs and no other live thread
+allow it, is built by two processes: a helper forked for the call
+converts the blocks from half of the COO entries on into shared memory
+while the caller converts the lower ones, then the caller copies the
+helper's rows in after its own.  Each block goes through the same
+conversion, so the kernel is the same bits either way, and the helper is
+reaped before the call returns or raises.
 
 `stationary` runs power iteration as a row-gather product on P^T.  Its
 `residual` is the l1 change of the last power step for the embedded
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import signal
 import threading
 from dataclasses import dataclass
 
@@ -66,19 +75,25 @@ _MAX_VERTICES = 30  # states and kernel indices are int32
 # memory guard per COO entry: 12 B of kernel (int32 index, float64 value),
 # another 12 B for the transpose `stationary` makes, and 4 B of headroom for
 # one block of scratch, so no kernel refused by the whole-matrix build (16 B
-# of COO + 12 B of CSR per entry) is accepted
+# of COO + 12 B of CSR per entry) is accepted.  A build split with a helper
+# holds at most 18 B per entry and two blocks of scratch: this process's
+# 12 B of kernel, and the helper's rows, at most 12 B for each of the
+# upper half of the entries, in shared memory until they are copied in
 _BYTES_PER_ENTRY = 28
-# most COO entries in one row block (16 MiB of scratch, 12 MiB of block
-# CSR).  On a 2-vCPU Xeon guest, cycle:16 then torus2d:4x4 built and solved
-# peaked at 373, 377, 396 and 418 MB with blocks of 2^16, 2^18, 2^20 and
-# 2^22 entries (520 MB whole-matrix): freed blocks stay in the heap.  The
-# torus2d:4x4 build took 0.71-0.96 s, with no trend across those sizes
-_BLOCK_ENTRIES = 1 << 20
+# most COO entries in one row block (4 MiB of scratch, 3 MiB of block CSR).
+# On a 2-vCPU Xeon guest, cycle:16 then torus2d:4x4, built and solved three
+# times in one process, peaked at 375-377 MB with blocks of 2^18 entries and
+# 396-398 MB with 2^20, split or not (520 MB whole-matrix): freed blocks of
+# the larger size stay in the heap.  The torus2d:4x4 build took 0.86-1.15 s
+# serial and 0.53-0.69 s split at 2^18, against 0.81-1.36 s and 0.68-0.94 s
+# at 2^20; cycle:16's split build (16 blocks at 2^18) took 0.13-0.16 s,
+# against 0.17-0.21 s
+_BLOCK_ENTRIES = 1 << 18
 _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
-# smallest kernel whose power steps are split with a helper process.  On a
-# 2-vCPU Xeon guest, forking and reaping the helper cost 4-6 ms and a split
-# step saved 0.17-0.74 ms at 0.6 M nonzeros but 0.04 ms at 0.13 M and
-# nothing at 0.06 M
+# smallest kernel whose power steps, or build of several blocks, are split
+# with a helper process.  On a 2-vCPU Xeon guest, forking and reaping the
+# helper cost 4-6 ms and a split step saved 0.17-0.74 ms at 0.6 M nonzeros
+# but 0.04 ms at 0.13 M and nothing at 0.06 M
 _SPLIT_MIN_NNZ = 500_000
 
 
@@ -154,6 +169,96 @@ def _block_csr(pats, allones: str, zero_counts: np.ndarray, a: int, b: int, scra
     return sp.coo_matrix((vals[:at], (rows[:at], cols[:at])), shape=(b - a, size)).tocsr()
 
 
+def _helper_allowed(nnz: int) -> bool:
+    return (
+        nnz >= _SPLIT_MIN_NNZ
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_setaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+class _Forked:
+    """A helper process forked from this one, running work(requests,
+    replies) on the read end of one pipe and the write end of another.
+
+    The helper runs on the last CPU of this process's affinity set and this
+    process on the others until `close`: unpinned, the woken helper tended
+    to preempt this process on its own CPU.  The helper leaves only through
+    os._exit, so it never flushes the caller's stdio buffers or runs its
+    exit handlers.  `close` restores the affinity, closes this process's
+    pipe ends, kills the helper if it is still running and reaps it.
+    """
+
+    def __init__(self, work) -> None:
+        self.cpus = sorted(os.sched_getaffinity(0))
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self.requests, self.replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.sched_setaffinity(0, self.cpus[-1:])
+                os.close(self.requests)
+                os.close(self.replies)
+                work(requests, replies)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(requests)
+        os.close(replies)
+        os.sched_setaffinity(0, self.cpus[:-1])
+
+    def close(self) -> None:
+        os.sched_setaffinity(0, self.cpus)
+        os.close(self.requests)
+        os.close(self.replies)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _append(out, nnz: int, row: int, indptr, indices, data) -> int:
+    """Copy CSR rows (indptr, indices, data) into the CSR arrays `out`, as
+    their rows from `row` on and after their first nnz entries; returns
+    the nonzeros then written."""
+    out_indptr, out_indices, out_data = out
+    end = nnz + int(indptr[-1])
+    out_indices[nnz:end] = indices[: end - nnz]
+    out_data[nnz:end] = data[: end - nnz]
+    np.add(indptr[1:], nnz, out=out_indptr[row + 1 : row + len(indptr)])
+    return end
+
+
+def _fill_blocks(pats, allones: str, zero_counts: np.ndarray, bounds, scratch, out) -> int:
+    """Convert the row blocks between consecutive `bounds` to CSR and copy
+    them into the CSR arrays `out`, whose first row is bounds[0]; returns
+    the nonzeros written."""
+    nnz = 0
+    for a, b in zip(bounds, bounds[1:]):
+        part = _block_csr(pats, allones, zero_counts, a, b, scratch)
+        nnz = _append(out, nnz, a - bounds[0], part.indptr, part.indices, part.data)
+        del part  # before the next block's CSR is allocated
+    return nnz
+
+
+def _shared_csr(rows: int, room: int, idx):
+    """A shared anonymous mmap and, in it, indptr, indices and data arrays
+    for `rows` CSR rows of at most `room` nonzeros."""
+    width = np.dtype(idx).itemsize
+    buf = mmap.mmap(-1, (8 + width) * room + width * (rows + 1))
+    return buf, (
+        np.frombuffer(buf, idx, rows + 1, (8 + width) * room),
+        np.frombuffer(buf, idx, room, 8 * room),
+        np.frombuffer(buf, np.float64, room),
+    )
+
+
 def build_kernel(
     g: Graph, params: ModelParams, allones: str = "resample", budget: int = 20
 ) -> TransitionModel:
@@ -168,6 +273,16 @@ def build_kernel(
     same bits as one whole-matrix conversion.  The build refuses to start
     when 28 B per COO entry exceed physical memory: 12 B of kernel, one
     block of scratch, and another 12 B for the transpose `stationary` makes.
+
+    A kernel of several blocks and at least 500,000 COO entries
+    (_SPLIT_MIN_NNZ), where `os.fork`, two CPUs and no other live thread
+    allow it, is built by two processes: a helper forked for this call
+    converts the upper blocks, from half of the COO entries on, into shared
+    memory while this process converts the lower ones into the kernel
+    arrays, then copies the helper's rows in after its own.  Every block
+    goes through the same conversion, so the kernel is the same bits and
+    made of private arrays; the helper is reaped before the call returns or
+    raises, and a helper that exits without its rows makes the call raise.
     """
     n = g.num_vertices
     if n > budget:
@@ -211,17 +326,33 @@ def build_kernel(
         kernel = _block_csr(pats, allones, zero_counts, 0, size, scratch)
     else:
         idx = np.int32 if entries <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(size + 1, dtype=idx)
-        indices = np.empty(entries, dtype=idx)
-        data = np.empty(entries, dtype=np.float64)
-        nnz = 0
-        for a, b in zip(bounds, bounds[1:]):
-            part = _block_csr(pats, allones, zero_counts, a, b, scratch)
-            indices[nnz : nnz + part.nnz] = part.indices
-            data[nnz : nnz + part.nnz] = part.data
-            np.add(part.indptr[1:], nnz, out=indptr[a + 1 : b + 1])
-            nnz += part.nnz
-            del part  # before the next block's CSR is allocated
+        helper = None
+        if _helper_allowed(entries):
+            # the helper converts the blocks from the first bound at or past
+            # half of the entries, and this process at least one block
+            cut = min(int(np.searchsorted(starts[bounds], entries // 2)), len(bounds) - 2)
+            mid, upper = bounds[cut], bounds[cut:]
+            buf, shared = _shared_csr(size - mid, int(entries - starts[mid]), idx)
+
+            def convert(requests: int, replies: int) -> None:
+                _fill_blocks(pats, allones, zero_counts, upper, scratch, shared)
+                os.write(replies, b"\x01")
+
+            helper = _Forked(convert)
+            bounds = bounds[: cut + 1]
+        try:
+            out = (np.zeros(size + 1, idx), np.empty(entries, idx), np.empty(entries, np.float64))
+            nnz = _fill_blocks(pats, allones, zero_counts, bounds, scratch, out)
+            if helper is not None:
+                if not os.read(helper.replies, 1):
+                    raise RuntimeError("build_kernel: the helper process has exited")
+                nnz = _append(out, nnz, mid, *shared)
+                del shared  # the views, so that the buffer can close
+                buf.close()
+        finally:
+            if helper is not None:
+                helper.close()
+        indptr, indices, data = out
         # set after construction, as in _row_range: the format check would
         # copy index and value views holding less than half of their arrays
         kernel = sp.csr_matrix((size, size), dtype=np.float64)
@@ -263,17 +394,7 @@ def _serve(requests: int, replies: int, upper: sp.csr_matrix, x: np.ndarray, y: 
         os.write(replies, b"\x01")
 
 
-def _helper_allowed(nnz: int) -> bool:
-    return (
-        nnz >= _SPLIT_MIN_NNZ
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_setaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-class _Helper:
+class _Helper(_Forked):
     """kt @ x as two row ranges split at half of kt's nonzeros, the upper
     one computed by a forked helper process while this one computes the
     lower one.
@@ -281,11 +402,7 @@ class _Helper:
     x (the step's input) and y (the upper rows of its output) live in one
     shared anonymous mmap; a byte on one pipe starts a step and a byte on
     the other reports it done.  Each row sums the same terms in the same
-    order as kt @ x, so the product is the same bits.  The helper runs on
-    the last CPU of this process's affinity set and this process on the
-    others until `close`: unpinned, the woken helper tended to preempt this
-    process on its own CPU.  The helper leaves only through os._exit, so it
-    never flushes the caller's stdio buffers or runs its exit handlers.
+    order as kt @ x, so the product is the same bits.
     """
 
     def __init__(self, kt: sp.csr_matrix) -> None:
@@ -293,31 +410,10 @@ class _Helper:
         self.mid = int(np.searchsorted(kt.indptr, kt.nnz // 2))
         self.lower = _row_range(kt, 0, self.mid)
         upper = _row_range(kt, self.mid, size)
-        self.cpus = sorted(os.sched_getaffinity(0))
         buf = mmap.mmap(-1, 8 * (2 * size - self.mid))
         self.x = np.frombuffer(buf, np.float64, size)
         self.y = np.frombuffer(buf, np.float64, size - self.mid, 8 * size)
-        requests, self.requests = os.pipe()
-        self.replies, replies = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (requests, self.requests, self.replies, replies):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.sched_setaffinity(0, self.cpus[-1:])
-                os.close(self.requests)
-                os.close(self.replies)
-                _serve(requests, replies, upper, self.x, self.y)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(requests)
-        os.close(replies)
-        os.sched_setaffinity(0, self.cpus[:-1])
+        super().__init__(lambda requests, replies: _serve(requests, replies, upper, self.x, self.y))
 
     def product(self, x: np.ndarray) -> np.ndarray:
         self.x[:] = x
@@ -332,12 +428,6 @@ class _Helper:
         out[self.mid :] = self.y
         return out
 
-    def close(self) -> None:
-        os.sched_setaffinity(0, self.cpus)
-        os.close(self.requests)
-        os.close(self.replies)
-        os.waitpid(self.pid, 0)
-
 
 def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
     """Stationary law by sparse power iteration.
@@ -351,9 +441,9 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
     CPUs and no other live thread allow it, each step is computed as two
     row ranges split at half of P^T's nonzeros: a helper process, forked
     once after the transpose, computes the upper range while this process
-    computes the lower one.  This process alone normalises, tests for
-    convergence and reweights.  The result is the same bits with or
-    without the helper.
+    computes the lower one, up to the continuous flavor's flux product.
+    This process alone normalises, tests for convergence and reweights.
+    The result is the same bits with or without the helper.
     """
     if flavor not in FLAVORS:
         raise ValueError("flavor must be 'embedded' or 'continuous'")
@@ -364,11 +454,12 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
         return StationaryDist(pi, flavor, 0.0)
     kt = tm.kernel.T.tocsr()
     helper = _Helper(kt) if _helper_allowed(kt.nnz) else None
+    product = (lambda x: kt @ x) if helper is None else helper.product
     pi = np.full(size, 1.0 / size)
     residual = np.inf
     try:
         for _ in range(_STATIONARY_MAX_ITER):
-            nxt = kt @ pi if helper is None else helper.product(pi)
+            nxt = product(pi)
             nxt /= nxt.sum()
             residual = float(np.abs(nxt - pi).sum())
             pi = nxt
@@ -381,15 +472,14 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
                     break
         else:
             raise RuntimeError(f"power iteration did not reach tol={_STATIONARY_TOL}")
+        if flavor == "continuous":
+            weights = pi / tm.exit_rates
+            pi = weights / weights.sum()
+            flux = pi * tm.exit_rates
+            residual = float(np.abs(product(flux) - flux).sum())
     finally:
         if helper is not None:
             helper.close()
-    if flavor == "continuous":
-        weights = pi / tm.exit_rates
-        pi = weights / weights.sum()
-        flux = pi * tm.exit_rates
-        residual_ct = float(np.abs(kt @ flux - flux).sum())
-        return StationaryDist(pi, flavor, residual_ct)
     return StationaryDist(pi, flavor, residual)
 
 

@@ -94,6 +94,24 @@ def test_row_blocked_build_peaks_below_sixteen_bytes_per_entry(monkeypatch):
     assert peak <= 16 * entries, peak / entries
 
 
+def test_one_process_row_blocked_build_peaks_below_sixteen_bytes_per_entry(monkeypatch):
+    """The guard above with the build kept in this process: where a helper
+    converts half of the blocks, tracemalloc sees neither the helper nor
+    its shared buffer, so this traces every block's CSR and scratch."""
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 2**14)
+    g, params = parse_graph_spec("cycle:14"), ModelParams(p=0.3)
+    entries = exact._kernel_entries(g, "resample")
+    monkeypatch.setattr(exact, "_SPLIT_MIN_NNZ", entries + 1)
+    tracemalloc.start()
+    try:
+        tm = build_kernel(g, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.kernel.nnz > 0
+    assert peak <= 16 * entries, peak / entries
+
+
 def test_kernel_memory_estimate_rejects_before_allocating():
     """complete:20 is within the 2^20 state budget, but its 20 * 2^39 COO
     entries cannot fit: the build refuses from the degrees alone."""
