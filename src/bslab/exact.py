@@ -329,7 +329,7 @@ def build_kernel(
         helper = None
         if _helper_allowed(entries):
             # the helper converts the blocks from the first bound at or past
-            # half of the entries, and this process at least one block
+            # half of the entries; each process converts at least one block
             cut = min(int(np.searchsorted(starts[bounds], entries // 2)), len(bounds) - 2)
             mid, upper = bounds[cut], bounds[cut:]
             buf, shared = _shared_csr(size - mid, int(entries - starts[mid]), idx)

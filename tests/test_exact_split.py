@@ -1,6 +1,8 @@
-"""The split power step of exact.stationary: with a helper process, the
-law and its residual are the same bits as the pi @ P reference, and the
-helper never outlives the solve, however the solve ends."""
+"""The split power step of exact.stationary and the split build of
+exact.build_kernel: with a helper process, the law and its residual are
+the same bits as the pi @ P reference and the kernel the same bits as the
+whole-matrix conversion, and the helper never outlives the call, however
+the call ends."""
 import os
 import subprocess
 import sys
@@ -172,10 +174,6 @@ def _assert_kernel_matches_oracle(tm, g, params, allones):
     assert tm.kernel.has_canonical_format
 
 
-def _in_helper(parent):
-    return os.getpid() != parent
-
-
 @pytest.mark.parametrize("allones", ALLONES)
 @pytest.mark.parametrize("p", PS)
 @pytest.mark.parametrize("spec", GRAPHS)
@@ -206,7 +204,7 @@ def test_dead_build_helper_makes_the_build_raise(builders, monkeypatch, how):
     parent, block_csr = os.getpid(), exact._block_csr
 
     def dying(*args):
-        if _in_helper(parent):
+        if os.getpid() != parent:
             if how == "exit":
                 os._exit(0)
             raise MemoryError("helper")
@@ -228,7 +226,7 @@ def test_error_in_the_callers_half_kills_the_build_helper(builders, monkeypatch)
     parent = os.getpid()
 
     def failing(*args):
-        if _in_helper(parent):
+        if os.getpid() != parent:
             time.sleep(60)
         raise ValueError("caller")
 
