@@ -149,11 +149,6 @@ def _mark_columns(g: Graph, base: int, A) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _good_rows(gc: GraphicalConstruction, base: int, cols: tuple[int, ...], lo: int, hi: int) -> bool:
-    """No one proposed in the given columns of base's mark rows lo..hi-1."""
-    return not gc.marks[base][lo:hi, cols].any()
-
-
 def stick_is_good(g: Graph, gc: GraphicalConstruction, stick: Stick, A) -> bool:
     """True iff every ring on the stick proposed 0 for every vertex of A.
 
@@ -263,7 +258,7 @@ def _is_nice(gc: GraphicalConstruction, spec: _NiceSpec, window) -> bool:
             return False
     for v, cols in spec.goods:
         lo, hi = cuts[v] if v in cuts else _window_rows(gc, v, t0, t1)
-        if not _good_rows(gc, v, cols, lo, hi):
+        if gc.marks[v][lo:hi, cols].any():  # a one proposed for a vertex of cols
             return False
     return True
 
@@ -497,6 +492,8 @@ def sample_stick_stats(
     seed: int,
 ) -> BlockStats:
     """Frequency of A-goodness for one stick, against the closed form."""
+    if not (0 <= base < g.num_vertices):
+        raise ValueError("base vertex out of range")
     nbhd = set(closed_neighbourhood(g, base))
     aset = frozenset(int(v) for v in A)
     if not aset <= nbhd:

@@ -383,11 +383,18 @@ def cmd_blocks(args) -> int:
             raise ValueError("--chain is not a chain of this graph")
     else:
         chain = None
+    window = hat_L if args.flavor in ("stick", "two") else tilde_L
+    L = args.L if args.L is not None else window(args.p, g.max_degree)
+    if args.flavor == "stick":
+        if not (0 <= args.base < g.num_vertices):
+            raise ValueError("--base vertex out of range")
+        if args.a_size < 0:
+            raise ValueError("--a-size must be nonnegative")
+        A = closed_neighbourhood(g, args.base)[: args.a_size]
+    elif chain is None:
+        pair_sites = 12 if args.pair == "same_level" else 8
+        chain = _auto_chain(g, {"two": 2, "four": 4}.get(args.flavor, pair_sites))
     if args.flavor == "independence":
-        L = args.L if args.L is not None else tilde_L(args.p, g.max_degree)
-        need = 12 if args.pair == "same_level" else 8
-        if chain is None:
-            chain = _auto_chain(g, need)
         rep = block4_independence_check(
             g, chain, params, L, args.n_samples, seed, pair=args.pair
         )
@@ -413,18 +420,10 @@ def cmd_blocks(args) -> int:
         )
         return run.finish()
     if args.flavor == "stick":
-        L = args.L if args.L is not None else hat_L(args.p, g.max_degree)
-        A = closed_neighbourhood(g, args.base)[: args.a_size]
         st = sample_stick_stats(g, params, args.base, A, L, args.n_samples, seed)
     elif args.flavor == "two":
-        L = args.L if args.L is not None else hat_L(args.p, g.max_degree)
-        if chain is None:
-            chain = _auto_chain(g, 2)
         st = sample_block2_stats(g, params, chain[0], chain[1], L, args.n_samples, seed)
     else:
-        L = args.L if args.L is not None else tilde_L(args.p, g.max_degree)
-        if chain is None:
-            chain = _auto_chain(g, 4)
         st = sample_block4_stats(g, params, chain, args.k0, L, args.n_samples, seed)
     run.write_csv("block_stats.csv", _BLOCK_STATS_HEADER, [_block_stats_row(st)])
     print(
@@ -576,16 +575,20 @@ def cmd_chains(args) -> int:
 # ---------------------------------------------------------------------------
 # presets
 
+def _preset_batches(spec: str, params: ModelParams, budget: int, seed: int, threads: int):
+    """The theorem presets' chains: 4 continuous replicas x `budget` updates, 16 batches."""
+    return run_batches(
+        parse_graph_spec(spec), params, budget, seed,
+        n_replicas=4, n_batches=16, flavor="continuous", n_jobs=threads,
+    )
+
+
 def _preset_thm1_survival(run: Run, seed: int, threads: int) -> None:
     """Small p on a long cycle: ones never take over.
 
     Budget: 4 replicas x 275k updates on cycle(200), about a minute.
     """
-    g = parse_graph_spec("cycle:200")
-    params = ModelParams(p=0.001)
-    bd = run_batches(
-        g, params, 250_000, seed, n_replicas=4, n_batches=16, flavor="continuous", n_jobs=threads
-    )
+    bd = _preset_batches("cycle:200", ModelParams(p=0.001), 250_000, seed, threads)
     pairs = [
         ("marginal_one", "0", marginal_from_batches(bd, 0)),
         ("proportion_ones_ge", "0.5", proportion_tail_from_batches(bd, 0.5)),
@@ -600,15 +603,10 @@ def _preset_thm2_proportion(run: Run, seed: int, threads: int) -> None:
 
     Budget: 4 replicas x 165k updates on cycle(100).
     """
-    g = parse_graph_spec("cycle:100")
-    params = ModelParams(p=0.005)
-    bd = run_batches(
-        g, params, 150_000, seed, n_replicas=4, n_batches=16, flavor="continuous", n_jobs=threads
-    )
-    n = g.num_vertices
+    bd = _preset_batches("cycle:100", ModelParams(p=0.005), 150_000, seed, threads)
     pairs = []
     for frac in (0.5, 0.75, 0.9):
-        k = math.ceil(frac * n)
+        k = math.ceil(frac * bd.num_vertices)
         pairs.append((f"zeros_ge", f"{k}", zeros_tail_from_batches(bd, k)))
     pairs.append(("marginal_one", "0", marginal_from_batches(bd, 0)))
     run.write_csv("proportion.csv", _ESTIMATE_HEADER, _estimate_rows(pairs))
@@ -619,11 +617,7 @@ def _preset_thm3_extinction(run: Run, seed: int, threads: int) -> None:
 
     Budget: 4 replicas x 275k updates on cycle(50) plus a tail fit.
     """
-    g = parse_graph_spec("cycle:50")
-    params = ModelParams.from_q(0.3)
-    bd = run_batches(
-        g, params, 250_000, seed, n_replicas=4, n_batches=16, flavor="continuous", n_jobs=threads
-    )
+    bd = _preset_batches("cycle:50", ModelParams.from_q(0.3), 250_000, seed, threads)
     pairs = [(f"zeros_ge", str(k), zeros_tail_from_batches(bd, k)) for k in range(0, 13)]
     rows = _estimate_rows(pairs)
     fit = tail_fit_from_batches(bd)

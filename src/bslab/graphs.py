@@ -237,6 +237,8 @@ def _bfs_path(parent: np.ndarray, u: int, v: int) -> ChainPath:
 
 def shortest_path(g: Graph, u: int, v: int) -> ChainPath:
     """BFS shortest path from u to v; always a valid chain."""
+    if not (0 <= u < g.num_vertices and 0 <= v < g.num_vertices):
+        raise ValueError("vertex out of range")
     dist, parent = _bfs(g, u)
     if dist[v] < 0:
         raise ValueError("vertices not connected")

@@ -155,12 +155,16 @@ def sample_strip(N: int, theta: float, levels: int, rng: np.random.Generator) ->
     return field_from_uniforms(N, theta, ul, ur)
 
 
-def evolve(field: StripField, B: LevelSet, upto: int) -> LevelSet:
-    """Frontier of sites reachable from B along open bonds, at level `upto`."""
+def _check_start(B: LevelSet, N: int) -> None:
     if B.level != 0:
         raise ValueError("starting set must sit at level 0")
-    if B.N != field.N:
+    if B.N != N:
         raise ValueError("level set and field disagree on N")
+
+
+def evolve(field: StripField, B: LevelSet, upto: int) -> LevelSet:
+    """Frontier of sites reachable from B along open bonds, at level `upto`."""
+    _check_start(B, field.N)
     if not (0 <= upto <= field.levels):
         raise ValueError("level out of range")
     N = field.N
@@ -293,10 +297,7 @@ def prob_good_level(
         raise ValueError("theta must lie in [0, 1]")
     levels = K * N
     _check_strip(N, levels)
-    if B.level != 0:
-        raise ValueError("starting set must sit at level 0")
-    if B.N != N:
-        raise ValueError("level set and field disagree on N")
+    _check_start(B, N)
     rng = substream(seed, 37)
     notes = []
     if not side_condition_ok(theta, h):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bslab import blocks
 from bslab.blocks import (
     Block2,
     Block4,
@@ -377,6 +378,19 @@ def test_block4_rate_cross_route_and_bound():
     gc_rate = hits / n
     gc_err = np.sqrt(gc_rate * (1 - gc_rate) / n)
     assert abs(gc_rate - st.nice_rate) < 4 * (gc_err + st.stderr)
+
+
+@pytest.mark.parametrize("base", [-1, 12])
+def test_stick_stats_reject_a_base_out_of_range_before_drawing(monkeypatch, base):
+    """Base -1 must not stand for vertex 11, nor base 12 end in an
+    IndexError; either is refused before any sample is drawn."""
+    def no_draws(*args):
+        raise AssertionError("samples drawn before the checks")
+
+    monkeypatch.setattr(blocks, "substream", no_draws)
+    g = generate("cycle", 12)
+    with pytest.raises(ValueError, match="base vertex out of range"):
+        sample_stick_stats(g, ModelParams(p=0.05), base, (0,), 1.0, 100, 5)
 
 
 def test_sampler_validation_and_determinism():

@@ -11,7 +11,12 @@ import pytest
 
 import bslab
 from bslab import cli
-from bslab.blocks import sample_block2_stats, sample_block4_stats, sample_stick_stats
+from bslab.blocks import (
+    block4_independence_check,
+    sample_block2_stats,
+    sample_block4_stats,
+    sample_stick_stats,
+)
 from bslab.bounds import FORMULAS, choose_h, hat_L, tilde_L
 from bslab.cli import main
 from bslab.drift import verify_all_bounds
@@ -560,13 +565,54 @@ def test_csv_bytes_match_the_row_builder_oracles(tmp_path, argv, name, oracle, o
     ["exact", "--graph", "complete:20", "--p", "0.3"],
     ["simulate", "--graph", "cycle:5", "--p", "0.3", "--init", "0101", "--seed", "1"],
     ["blocks", "--graph", "cycle:8", "--p", "0.01", "--chain", "0,2,4", "--seed", "1"],
+    ["chains", "--graph", "cycle:8", "--mode", "shortest", "--u", "-1", "--v", "3"],
+    ["chains", "--graph", "cycle:8", "--mode", "shortest", "--u", "0", "--v", "9"],
+    ["blocks", "--graph", "cycle:8", "--p", "0.01", "--flavor", "stick", "--base", "-1", "--seed", "1"],
+    ["blocks", "--graph", "cycle:8", "--p", "0.01", "--flavor", "stick", "--a-size", "-1", "--seed", "1"],
 ], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
-        "blocks-not-a-chain"])
+        "blocks-not-a-chain", "chains-u-negative", "chains-v-past-end", "blocks-base-negative",
+        "blocks-a-size-negative"])
 def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flavor,pair,sites", [
+    ("two", "same_level", 2),
+    ("four", "same_level", 4),
+    ("independence", "same_level", 12),
+    ("independence", "adjacent_level", 8),
+])
+def test_blocks_defaults_match_the_library_on_the_auto_chain(tmp_path, flavor, pair, sites):
+    """Without --L or --chain, `blocks` runs at hat_L (two) or tilde_L (four,
+    independence) on the chain that _auto_chain picks for the flavor's sites."""
+    p, n, seed = 0.01, 1500, 4
+    assert main(["blocks", "--graph", "cycle:16", "--p", str(p), "--flavor", flavor,
+                 "--pair", pair, "--n-samples", str(n), "--seed", str(seed),
+                 "--out", str(tmp_path / "run")]) == 0
+    g, params = parse_graph_spec("cycle:16"), ModelParams(p=p)
+    chain = cli._auto_chain(g, sites)
+    oracle = tmp_path / "oracle.csv"
+    if flavor == "independence":
+        rep = block4_independence_check(g, chain, params, tilde_L(p, 2), n, seed, pair=pair)
+        write_rows_oracle(
+            oracle,
+            ("pair", "n_samples", "rate_a", "rate_b", "corr", "threshold", "within", "notes"),
+            [(rep.pair, str(rep.n_samples), *(repr(float(x)) for x in
+              (rep.rate_a, rep.rate_b, rep.corr, rep.threshold)),
+              str(int(rep.within)), ";".join(rep.notes))],
+        )
+        name = "independence.csv"
+    else:
+        if flavor == "two":
+            st = sample_block2_stats(g, params, chain[0], chain[1], hat_L(p, 2), n, seed)
+        else:
+            st = sample_block4_stats(g, params, chain, 0, tilde_L(p, 2), n, seed)
+        write_lines_oracle(oracle, block_stats_rows_oracle([st]))
+        name = "block_stats.csv"
+    assert (tmp_path / "run" / name).read_bytes() == oracle.read_bytes()
 
 
 def test_formulas_reject_both_p_and_q(tmp_path, capsys):

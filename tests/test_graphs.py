@@ -169,6 +169,14 @@ def test_shortest_paths_are_chains():
                 assert is_chain(g, path.vertices)
 
 
+@pytest.mark.parametrize("u,v", [(-1, 3), (3, -1), (8, 3), (3, 9)])
+def test_shortest_path_rejects_vertices_out_of_range(u, v):
+    """A negative id must not wrap round to the last vertex, and an id past
+    the end must not end in an IndexError."""
+    with pytest.raises(ValueError, match="vertex out of range"):
+        shortest_path(generate("cycle", 8), u, v)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(8, 14),
