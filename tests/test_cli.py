@@ -17,12 +17,21 @@ from bslab.blocks import (
     sample_block4_stats,
     sample_stick_stats,
 )
-from bslab.bounds import FORMULAS, choose_h, hat_L, tilde_L
+from bslab.bounds import FORMULAS, choose_h, hat_L, q0_highprec, tilde_L
 from bslab.cli import main
 from bslab.drift import verify_all_bounds
 from bslab.dynamics import ModelParams, random_configuration, replay, sample_graphical
 from bslab.exact import build_kernel, marginals, stationary
-from bslab.graphs import closed_neighbourhood, parse_graph_spec, shortest_path
+from bslab.graphs import chain_cover, closed_neighbourhood, parse_graph_spec, shortest_path
+from bslab.montecarlo import (
+    expected_zeros_from_batches,
+    marginal_from_batches,
+    proportion_tail_from_batches,
+    run_batches,
+    tail_fit_from_batches,
+    zeros_tail_from_batches,
+)
+from bslab.percolation import LevelSet, prob_good_level, sites_at_level
 from bslab.rng import substream
 from oracle_utils import (
     block_stats_rows_oracle,
@@ -623,3 +632,145 @@ def test_formulas_reject_both_p_and_q(tmp_path, capsys):
     assert captured.out == ""
     assert "give at most one of --p or --q" in captured.err
     assert not out.exists()
+
+
+def _float_cells(*xs):
+    return [repr(float(x)) for x in xs]
+
+
+@pytest.mark.parametrize("tail_fit", [False, True], ids=["estimates", "tail-fit"])
+def test_mc_csv_matches_the_library(tmp_path, capsys, tail_fit):
+    """`mc` writes its four estimates, and with --tail-fit the fitted slope
+    c2, in the interval columns, with the fit's point count as batches."""
+    p, seed = 0.7, 3
+    argv = ["mc", "--graph", "cycle:8", "--p", str(p), "--budget", "8000", "--replicas", "2",
+            "--batches", "8", "--threads", "1", "--seed", str(seed), "--out", str(tmp_path / "run")]
+    assert main(argv + ["--tail-fit"] * tail_fit) == 0
+    bd = run_batches(parse_graph_spec("cycle:8"), ModelParams(p=p), 8000, seed,
+                     n_replicas=2, n_batches=8)
+    pairs = [
+        ("marginal_one(0)", marginal_from_batches(bd, 0)),
+        ("proportion_ones_ge(0.5)", proportion_tail_from_batches(bd, 0.5)),
+        ("zeros_ge(1)", zeros_tail_from_batches(bd, 1)),
+        ("expected_zeros", expected_zeros_from_batches(bd)),
+    ]
+    rows = [(name, "0.7", "cycle:8", *_float_cells(est.mean, est.stderr, *est.ci95),
+             str(est.n_batches), str(seed)) for name, est in pairs]
+    if tail_fit:
+        fit = tail_fit_from_batches(bd)
+        assert fit is not None and fit.ks == (1, 2, 3, 4, 5)
+        rows.append(("tail_fit_c2(k=1..5)", "0.7", "cycle:8",
+                     *_float_cells(fit.c2, fit.c2_stderr, *fit.c2_ci95), "5", str(seed)))
+    oracle = tmp_path / "oracle.csv"
+    write_rows_oracle(oracle, ("functional", "param_p", "graph", "estimate", "stderr", "ci_lo",
+                               "ci_hi", "batches", "seed"), rows)
+    assert (tmp_path / "run" / "mc_estimates.csv").read_bytes() == oracle.read_bytes()
+    assert capsys.readouterr().out == "".join(
+        f"{name} = {est.mean!r} +- {est.stderr!r}"
+        + (f"  [{'; '.join(est.notes)}]" if est.notes else "") + "\n"
+        for name, est in pairs
+    )
+
+
+def test_mc_tail_fit_skips_with_too_few_points(tmp_path, capsys):
+    argv = ["mc", "--graph", "cycle:4", "--p", "0.95", "--budget", "800", "--replicas", "2",
+            "--batches", "8", "--threads", "1", "--seed", "3", "--tail-fit"]
+    assert main(argv + ["--out", str(tmp_path / "fit")]) == 0
+    assert "tail fit skipped: too few usable points" in capsys.readouterr().out
+    assert main(argv[:-1] + ["--out", str(tmp_path / "plain")]) == 0
+    assert ((tmp_path / "fit" / "mc_estimates.csv").read_bytes()
+            == (tmp_path / "plain" / "mc_estimates.csv").read_bytes())
+
+
+def _theorem_chains(spec, params, seed):
+    """The theorem presets' chains: 4 continuous replicas x 250k updates, 16 batches."""
+    return run_batches(parse_graph_spec(spec), params, 250_000, seed,
+                       n_replicas=4, n_batches=16, flavor="continuous", n_jobs=2)
+
+
+def _estimate_cells(functional, param, est):
+    return (functional, param, *_float_cells(est.mean, est.stderr, *est.ci95),
+            str(est.n_batches), str(est.total_budget), ";".join(est.notes))
+
+
+def _survival_oracle(seed):
+    bd = _theorem_chains("cycle:200", ModelParams(p=0.001), seed)
+    return [
+        _estimate_cells("marginal_one", "0", marginal_from_batches(bd, 0)),
+        _estimate_cells("proportion_ones_ge", "0.5", proportion_tail_from_batches(bd, 0.5)),
+        _estimate_cells("zeros_ge", "100", zeros_tail_from_batches(bd, 100)),
+        _estimate_cells("expected_zeros", "", expected_zeros_from_batches(bd)),
+    ]
+
+
+def _extinction_oracle(seed):
+    bd = _theorem_chains("cycle:50", ModelParams.from_q(0.3), seed)
+    rows = [_estimate_cells("zeros_ge", str(k), zeros_tail_from_batches(bd, k))
+            for k in range(13)]
+    fit = tail_fit_from_batches(bd)
+    assert fit is not None
+    rows.append(("tail_fit_c2", f"k={fit.ks[0]}..{fit.ks[-1]}",
+                 *_float_cells(fit.c2, fit.c2_stderr, *fit.c2_ci95),
+                 str(len(fit.ks)), "1000000", f"rms={fit.rms!r}"))
+    return rows
+
+
+@pytest.mark.parametrize("name,csv_name,oracle", [
+    ("thm1_survival", "survival.csv", _survival_oracle),
+    ("thm3_extinction", "tail.csv", _extinction_oracle),
+], ids=["thm1_survival", "thm3_extinction"])
+def test_theorem_preset_csv_matches_the_library(tmp_path, name, csv_name, oracle):
+    seed = 2
+    assert main(["preset", "--name", name, "--seed", str(seed), "--threads", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    path = tmp_path / "oracle.csv"
+    write_rows_oracle(path, ("functional", "param", "estimate", "stderr", "ci_lo", "ci_hi",
+                             "n_batches", "total_budget", "notes"), oracle(seed))
+    assert (tmp_path / "run" / csv_name).read_bytes() == path.read_bytes()
+
+
+def test_percolate_good_matches_the_library(tmp_path, capsys):
+    N, K, theta, h, n, seed = 4, 2, 0.9, 0.75, 300, 5
+    assert main(["percolate", "--mode", "good", "--N", str(N), "--K", str(K),
+                 "--theta", str(theta), "--h", str(h), "--n-samples", str(n),
+                 "--seed", str(seed), "--out", str(tmp_path / "run")]) == 0
+    B = LevelSet.from_sites(N, 0, list(sites_at_level(N, 0)))
+    est = prob_good_level(N, theta, K, h, B, n, seed)
+    oracle = tmp_path / "oracle.csv"
+    write_rows_oracle(
+        oracle,
+        ("N", "theta", "K", "h", "functional", "estimate", "stderr", "n_samples", "seed"),
+        [("4", "0.9", "2", "0.75", "prob_good_level", *_float_cells(est.mean, est.stderr),
+          str(n), str(seed))],
+    )
+    assert (tmp_path / "run" / "percolation.csv").read_bytes() == oracle.read_bytes()
+    assert capsys.readouterr().out == f"P[(1-h)-good level] = {est.mean!r} +- {est.stderr!r}\n"
+
+
+@pytest.mark.parametrize("graph,argv", [
+    ("torus2d:4x4", ["--mode", "shortest", "--u", "0", "--v", "10"]),
+    ("path:5", ["--mode", "cover", "--min-len", "4"]),
+    ("torus2d:3x3", ["--mode", "cover", "--min-len", "4"]),
+], ids=["shortest", "cover", "cover-fails"])
+def test_chains_shortest_and_cover_match_the_library(tmp_path, capsys, graph, argv):
+    assert main(["chains", "--graph", graph, *argv, "--out", str(tmp_path / "run")]) == 0
+    g = parse_graph_spec(graph)
+    if argv[1] == "shortest":
+        path = shortest_path(g, 0, 10)
+        rows = [("shortest", str(path.length), "-".join(map(str, path.vertices)))]
+        line = f"shortest 0->10: {path.length} vertices (a chain)"
+    else:
+        cover = chain_cover(g, 4)
+        rows = [(f"cover_{i}", str(ch.length), "-".join(map(str, ch.vertices)))
+                for i, ch in enumerate(cover.chains)]
+        line = (f"covered by {cover.k} chains of >= 4 vertices" if cover.covered
+                else f"cover FAILED; uncovered: {cover.uncovered}")
+    oracle = tmp_path / "oracle.csv"
+    write_rows_oracle(oracle, ("kind", "length", "vertices"), rows)
+    assert (tmp_path / "run" / "chains.csv").read_bytes() == oracle.read_bytes()
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_q0_dps_prints_the_high_precision_bisection(tmp_path, capsys):
+    assert main(["q0", "--d", "3", "--dps", "30", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{q0_highprec(3, dps=30)!r}\n"
