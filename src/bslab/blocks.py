@@ -494,12 +494,9 @@ def sample_stick_stats(
     """Frequency of A-goodness for one stick, against the closed form."""
     if not (0 <= base < g.num_vertices):
         raise ValueError("base vertex out of range")
-    nbhd = set(closed_neighbourhood(g, base))
-    aset = frozenset(int(v) for v in A)
-    if not aset <= nbhd:
-        raise ValueError("A must sit inside the closed neighbourhood of the base")
-    lb = stick_good_lb(L, params.q, len(aset))
-    return _direct_stats("stick", g, params, _stick_spec(g, base, aset), L, n_samples, seed, lb)
+    spec = _stick_spec(g, base, A)
+    lb = stick_good_lb(L, params.q, len(spec.goods[0][1]))
+    return _direct_stats("stick", g, params, spec, L, n_samples, seed, lb)
 
 
 def sample_block2_stats(

@@ -263,6 +263,8 @@ def theta_4block_highprec(L: float, p: float, d: int, dps: int = 40) -> float:
     import mpmath as mp  # slow to import; only the cross-check paths need it
 
     _check_pd(p, d)
+    if dps < 1:
+        raise ValueError("dps must be >= 1")
     with mp.workdps(dps):
         q = mp.mpf(1) - mp.mpf(repr(p))
         return float(_theta_4block(mp.mpf(repr(L)), q, d, mp))
@@ -272,6 +274,8 @@ def q0_highprec(d: int, dps: int = 40) -> float:
     """q0 bisection on h_window itself, run on mpmath numbers at `dps` digits."""
     import mpmath as mp  # slow to import; only the cross-check paths need it
 
+    if dps < 1:
+        raise ValueError("dps must be >= 1")
     with mp.workdps(dps):
         lo = mp.mpf(1) / (d + 1) + mp.mpf("1e-9")
         hi = mp.mpf(1) - mp.mpf("1e-20")

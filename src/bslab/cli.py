@@ -46,6 +46,8 @@ from .bounds import (
 )
 from .drift import verify_all_bounds
 from .dynamics import (
+    ALLONES_SEMANTICS,
+    FLAVORS,
     ModelParams,
     all_ones,
     all_zeros,
@@ -92,8 +94,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, (np.integer,)):
-        return str(int(x))
     return str(x)
 
 
@@ -161,24 +161,18 @@ def _graph(args):
     return parse_graph_spec(args.graph, seed=args.seed)
 
 
+def _interval(mean, stderr, ci, n):
+    """The cells estimate, stderr, ci_lo, ci_hi and the batch or point count."""
+    return (mean, stderr, ci[0], ci[1], n)
+
+
 def _estimate_rows(pairs):
     """Rows (functional, param, Estimate) -> CSV cells."""
-    rows = []
-    for functional, param, est in pairs:
-        rows.append(
-            (
-                functional,
-                param,
-                est.mean,
-                est.stderr,
-                est.ci95[0],
-                est.ci95[1],
-                est.n_batches,
-                est.total_budget,
-                ";".join(est.notes),
-            )
-        )
-    return rows
+    return [
+        (functional, param, *_interval(est.mean, est.stderr, est.ci95, est.n_batches),
+         est.total_budget, ";".join(est.notes))
+        for functional, param, est in pairs
+    ]
 
 
 _ESTIMATE_HEADER = (
@@ -321,34 +315,16 @@ def cmd_mc(args) -> int:
         ("expected_zeros", expected_zeros_from_batches(bd)),
     ]
     rows = [
-        (
-            functional,
-            args.p,
-            args.graph,
-            est.mean,
-            est.stderr,
-            est.ci95[0],
-            est.ci95[1],
-            est.n_batches,
-            seed,
-        )
+        (functional, args.p, args.graph,
+         *_interval(est.mean, est.stderr, est.ci95, est.n_batches), seed)
         for functional, est in pairs
     ]
     if args.tail_fit:
         fit = tail_fit_from_batches(bd)
         if fit is not None:
             rows.append(
-                (
-                    f"tail_fit_c2(k={fit.ks[0]}..{fit.ks[-1]})",
-                    args.p,
-                    args.graph,
-                    fit.c2,
-                    fit.c2_stderr,
-                    fit.c2_ci95[0],
-                    fit.c2_ci95[1],
-                    len(fit.ks),
-                    seed,
-                )
+                (f"tail_fit_c2(k={fit.ks[0]}..{fit.ks[-1]})", args.p, args.graph,
+                 *_interval(fit.c2, fit.c2_stderr, fit.c2_ci95, len(fit.ks)), seed)
             )
         else:
             print("tail fit skipped: too few usable points")
@@ -372,6 +348,10 @@ def _auto_chain(g, want: int):
     return path.vertices
 
 
+# each `blocks` flavor's default window; the keys are the --flavor choices
+_WINDOWS = {"stick": hat_L, "two": hat_L, "four": tilde_L, "independence": tilde_L}
+
+
 def cmd_blocks(args) -> int:
     seed = _require_seed(args)
     g = _graph(args)
@@ -383,8 +363,7 @@ def cmd_blocks(args) -> int:
             raise ValueError("--chain is not a chain of this graph")
     else:
         chain = None
-    window = hat_L if args.flavor in ("stick", "two") else tilde_L
-    L = args.L if args.L is not None else window(args.p, g.max_degree)
+    L = args.L if args.L is not None else _WINDOWS[args.flavor](args.p, g.max_degree)
     if args.flavor == "stick":
         if not (0 <= args.base < g.num_vertices):
             raise ValueError("--base vertex out of range")
@@ -392,8 +371,10 @@ def cmd_blocks(args) -> int:
             raise ValueError("--a-size must be nonnegative")
         A = closed_neighbourhood(g, args.base)[: args.a_size]
     elif chain is None:
-        pair_sites = 12 if args.pair == "same_level" else 8
+        pair_sites = {"same_level": 12, "adjacent_level": 8, "self": 4}[args.pair]
         chain = _auto_chain(g, {"two": 2, "four": 4}.get(args.flavor, pair_sites))
+    elif args.flavor == "two" and len(chain) < 2:
+        raise ValueError("--chain needs two sites for the two flavor")
     if args.flavor == "independence":
         rep = block4_independence_check(
             g, chain, params, L, args.n_samples, seed, pair=args.pair
@@ -502,13 +483,15 @@ def cmd_formulas(args) -> int:
 
 
 def cmd_q0(args) -> int:
+    if args.simple + args.closed_form + (args.dps is not None) > 1:
+        raise ValueError("give at most one of --simple, --closed-form or --dps")
     if args.simple:
         print(repr(q0_simple(args.d)))
     elif args.closed_form:
         if args.d != 2:
             raise ValueError("the closed form is only stated for d = 2")
         print(repr(q0_d2_closed_form()))
-    elif args.dps:
+    elif args.dps is not None:
         print(repr(q0_highprec(args.d, dps=args.dps)))
     else:
         print(repr(q0(args.d)))
@@ -586,7 +569,7 @@ def _preset_batches(spec: str, params: ModelParams, budget: int, seed: int, thre
 def _preset_thm1_survival(run: Run, seed: int, threads: int) -> None:
     """Small p on a long cycle: ones never take over.
 
-    Budget: 4 replicas x 275k updates on cycle(200), about a minute.
+    Budget: 4 replicas x 275k updates on cycle(200), about a second on two cores.
     """
     bd = _preset_batches("cycle:200", ModelParams(p=0.001), 250_000, seed, threads)
     pairs = [
@@ -623,17 +606,9 @@ def _preset_thm3_extinction(run: Run, seed: int, threads: int) -> None:
     fit = tail_fit_from_batches(bd)
     if fit is not None:
         rows.append(
-            (
-                "tail_fit_c2",
-                f"k={fit.ks[0]}..{fit.ks[-1]}",
-                fit.c2,
-                fit.c2_stderr,
-                fit.c2_ci95[0],
-                fit.c2_ci95[1],
-                len(fit.ks),
-                bd.budget * bd.n_replicas,
-                f"rms={fit.rms!r}",
-            )
+            ("tail_fit_c2", f"k={fit.ks[0]}..{fit.ks[-1]}",
+             *_interval(fit.c2, fit.c2_stderr, fit.c2_ci95, len(fit.ks)),
+             bd.budget * bd.n_replicas, f"rms={fit.rms!r}")
         )
     run.write_csv("tail.csv", _ESTIMATE_HEADER, rows)
 
@@ -668,11 +643,10 @@ def _preset_block_bounds(run: Run, seed: int, threads: int) -> None:
         A = closed_neighbourhood(g, chain[0])
         for p in (0.02, 0.01, 0.005, 0.0015):
             params = ModelParams(p=p)
-            Lh = hat_L(p, d)
-            Lt = tilde_L(p, d)
-            stats.append(sample_stick_stats(g, params, chain[0], A, Lh, n, seed))
-            stats.append(sample_block2_stats(g, params, chain[0], chain[1], Lh, n, seed))
-            stats.append(sample_block4_stats(g, params, chain, 0, Lt, n, seed))
+            L = {flavor: window(p, d) for flavor, window in _WINDOWS.items()}
+            stats.append(sample_stick_stats(g, params, chain[0], A, L["stick"], n, seed))
+            stats.append(sample_block2_stats(g, params, chain[0], chain[1], L["two"], n, seed))
+            stats.append(sample_block4_stats(g, params, chain, 0, L["four"], n, seed))
     run.write_csv("block_bounds.csv", _BLOCK_STATS_HEADER, map(_block_stats_row, stats))
 
 
@@ -751,10 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", parents=[common, gopt], help="run one seeded trajectory")
     ps.add_argument("--p", type=float, required=True)
-    ps.add_argument("--flavor", choices=("continuous", "embedded"), default="continuous")
+    ps.add_argument("--flavor", choices=FLAVORS, default="continuous")
     ps.add_argument("--horizon", type=float, default=20.0)
     ps.add_argument("--steps", type=int, default=1000)
-    ps.add_argument("--allones", choices=("resample", "frozen"), default="resample")
+    ps.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
     ps.add_argument("--init", type=str, default="random", help="random | ones | zeros | bit string")
     ps.add_argument("--snapshot-every", type=float, default=0.0)
     ps.add_argument("--replica", type=int, default=0)
@@ -762,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", parents=[common, gopt], help="stationary law by power iteration")
     pe.add_argument("--p", type=float, required=True)
-    pe.add_argument("--flavor", choices=("embedded", "continuous"), default="continuous")
-    pe.add_argument("--allones", choices=("resample", "frozen"), default="resample")
+    pe.add_argument("--flavor", choices=FLAVORS, default="continuous")
+    pe.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
     pe.set_defaults(func=cmd_exact)
 
     pm = sub.add_parser("mc", parents=[common, gopt], help="batch-means Monte Carlo estimates")
@@ -772,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--replicas", type=int, default=4)
     pm.add_argument("--batches", type=int, default=16)
     pm.add_argument("--burn-frac", type=float, default=0.1)
-    pm.add_argument("--flavor", choices=("continuous", "embedded"), default="continuous")
-    pm.add_argument("--allones", choices=("resample", "frozen"), default="resample")
+    pm.add_argument("--flavor", choices=FLAVORS, default="continuous")
+    pm.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
     pm.add_argument("--vertex", type=int, default=0)
     pm.add_argument("--alpha", type=float, default=0.5)
     pm.add_argument("--k", type=int, default=1)
@@ -782,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("blocks", parents=[common, gopt], help="stick/block statistics")
     pb.add_argument("--p", type=float, required=True)
-    pb.add_argument("--flavor", choices=("stick", "two", "four", "independence"), default="two")
+    pb.add_argument("--flavor", choices=tuple(_WINDOWS), default="two")
     pb.add_argument("--L", type=float, default=None, help="window length (default: formula optimum)")
     pb.add_argument("--n-samples", type=int, default=20_000)
     pb.add_argument("--chain", type=str, default=None, help="comma-separated chain vertices")

@@ -248,9 +248,8 @@ def exact_drift(g: Graph, config: np.ndarray, params: ModelParams, h: float) -> 
     cond1 = sum(t1) / len(t1) if t1 else None
     cond2 = sum(t2) / len(t2) if t2 else None
 
-    db = drift_bounds(params.q, g.max_degree, h)
-    frac2 = census.n2 / census.total
-    bounds: dict[str, float] = {"count": db.n_drift_bound - frac2}
+    db = drift_bounds(params.q, g.max_degree, h, census.n2 / census.total)
+    bounds: dict[str, float] = {"count": db.n_drift_bound}
     margins: dict[str, float] = {"count": bounds["count"] - dn}
     if cond1 is not None:
         bounds["type1"] = db.type1_bound

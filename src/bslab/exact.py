@@ -9,29 +9,14 @@ expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
 
 `build_kernel` assembles the kernel in row blocks of at most 2^18 COO
-entries (_BLOCK_ENTRIES), each converted to CSR on its own and copied
-into kernel arrays allocated once.  The conversion sorts and sums
-duplicates row by row, so the kernel is the same bits as one whole-matrix
-conversion, and the build holds about 12 B per entry instead of 28 B.
-A kernel of several blocks and at least 500,000 COO entries
-(_SPLIT_MIN_NNZ), where `os.fork`, two CPUs and no other live thread
-allow it, is built by two processes: a helper forked for the call
-converts the blocks from half of the COO entries on into shared memory
-while the caller converts the lower ones, then the caller copies the
-helper's rows in after its own.  Each block goes through the same
-conversion, so the kernel is the same bits either way, and the helper is
-reaped before the call returns or raises.
+entries (_BLOCK_ENTRIES) and, for a large kernel, converts the upper
+blocks in a forked helper process; the kernel is the same bits as one
+whole-matrix conversion either way.
 
-`stationary` runs power iteration as a row-gather product on P^T.  Its
-`residual` is the l1 change of the last power step for the embedded
-flavor, and the l1 flux residual |(pi r) P - pi r|_1 of the reweighted law
-for the continuous one.  On a kernel of at least 500,000 nonzeros
-(_SPLIT_MIN_NNZ), where `os.fork`, two CPUs and no other live thread
-allow it, each power step computes P^T pi as two row ranges split at half
-of P^T's nonzeros: a helper process forked once per solve computes the
-upper range into shared memory while the caller computes the lower one.
-Every row sums the same terms in the same order as the one-process
-product, so the law and its residual are the same bits.
+`stationary` runs power iteration as a row-gather product on P^T and, on
+a large kernel, computes each step's upper rows in a forked helper
+process; the law is the same bits either way, and its `residual` is a
+stopping criterion, not an error bound.
 
 The time-t checks never form the dense 2^n x 2^n P_t: they apply it to a
 set's two indicator columns, by t sparse kernel products (embedded) or by

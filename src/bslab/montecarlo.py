@@ -195,6 +195,8 @@ def run_batches(
         raise ValueError(f"flavor must be one of {FLAVORS}")
     if allones not in ALLONES_SEMANTICS:
         raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
+    if not 0.0 <= burn_frac < math.inf:
+        raise ValueError("burn_frac must be a finite number >= 0")
     if n_batches < 8:
         raise ValueError("need at least 8 batches per replica for a usable stderr")
     if budget < n_batches:

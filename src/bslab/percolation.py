@@ -258,10 +258,10 @@ def prob_connect_theta_sweep(
     thetas = sorted(float(t) for t in thetas)
     if not all(0.0 <= t <= 1.0 for t in thetas):
         raise ValueError("theta must lie in [0, 1]")
+    _check_strip(N, levels)
     if abs(y - x) > levels:
         unreachable = Estimate(0.0, 0.0, (0.0, 0.0), n_samples, n_samples, ("target unreachable",))
         return {t: unreachable for t in thetas}
-    _check_strip(N, levels)
     if not thetas:
         return {}
     rng = substream(seed, 31)

@@ -393,6 +393,19 @@ def test_stick_stats_reject_a_base_out_of_range_before_drawing(monkeypatch, base
         sample_stick_stats(g, ModelParams(p=0.05), base, (0,), 1.0, 100, 5)
 
 
+def test_stick_stats_reject_a_outside_the_neighbourhood_before_drawing(monkeypatch):
+    """Marks exist only for N[base], so a vertex of A outside it is refused
+    while the stick's spec is built, before any sample is drawn."""
+    def no_draws(*args):
+        raise AssertionError("samples drawn before the checks")
+
+    monkeypatch.setattr(blocks, "substream", no_draws)
+    g = generate("cycle", 12)
+    for A in ((5,), (2, 3, 4, 5), (-1,)):
+        with pytest.raises(ValueError, match="closed neighbourhood"):
+            sample_stick_stats(g, ModelParams(p=0.05), 3, A, 1.0, 100, 5)
+
+
 def test_sampler_validation_and_determinism():
     g = generate("cycle", 12)
     params = ModelParams(p=0.05)

@@ -183,6 +183,16 @@ def test_q0_highprec_agrees():
     assert abs(q0_highprec(2, dps=60) - q0_d2_closed_form()) < 1e-14
 
 
+@pytest.mark.parametrize("dps", [0, -3])
+def test_highprec_bounds_refuse_fewer_than_one_digit(dps):
+    """Below one digit mpmath still returns a number (0.5 for q0 at dps 0),
+    so both bounds refuse it."""
+    with pytest.raises(ValueError, match="dps"):
+        q0_highprec(2, dps=dps)
+    with pytest.raises(ValueError, match="dps"):
+        theta_4block_highprec(14, 0.0015, 2, dps=dps)
+
+
 def test_q0_simple_values_and_ordering():
     assert q0_simple(2) == pytest.approx(0.3446457824128541, abs=1e-12)
     assert q0_simple(4) == pytest.approx(0.20084927221365803, abs=1e-12)

@@ -578,9 +578,14 @@ def test_csv_bytes_match_the_row_builder_oracles(tmp_path, argv, name, oracle, o
     ["chains", "--graph", "cycle:8", "--mode", "shortest", "--u", "0", "--v", "9"],
     ["blocks", "--graph", "cycle:8", "--p", "0.01", "--flavor", "stick", "--base", "-1", "--seed", "1"],
     ["blocks", "--graph", "cycle:8", "--p", "0.01", "--flavor", "stick", "--a-size", "-1", "--seed", "1"],
+    ["blocks", "--graph", "cycle:8", "--p", "0.01", "--flavor", "two", "--chain", "3", "--seed", "1"],
+    ["percolate", "--N", "4", "--K", "0", "--y", "2", "--seed", "1"],
+    *[["mc", "--graph", "cycle:6", "--p", "0.5", "--budget", "1000", "--burn-frac", frac,
+       "--seed", "1"] for frac in ("-3", "inf", "nan")],
 ], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
         "blocks-not-a-chain", "chains-u-negative", "chains-v-past-end", "blocks-base-negative",
-        "blocks-a-size-negative"])
+        "blocks-a-size-negative", "blocks-two-one-site", "percolate-no-levels",
+        "mc-burn-frac-negative", "mc-burn-frac-inf", "mc-burn-frac-nan"])
 def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
@@ -774,3 +779,37 @@ def test_chains_shortest_and_cover_match_the_library(tmp_path, capsys, graph, ar
 def test_q0_dps_prints_the_high_precision_bisection(tmp_path, capsys):
     assert main(["q0", "--d", "3", "--dps", "30", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"{q0_highprec(3, dps=30)!r}\n"
+
+
+def test_blocks_self_pair_default_chain_needs_four_sites(tmp_path):
+    """The self pair compares one four-site cell with itself, so its default
+    chain needs four sites; cycle:8, whose longest chain has six, runs."""
+    p, n, seed = 0.01, 1500, 4
+    assert main(["blocks", "--graph", "cycle:8", "--p", str(p), "--flavor", "independence",
+                 "--pair", "self", "--n-samples", str(n), "--seed", str(seed),
+                 "--out", str(tmp_path / "run")]) == 0
+    g = parse_graph_spec("cycle:8")
+    rep = block4_independence_check(g, cli._auto_chain(g, 4), ModelParams(p=p),
+                                    tilde_L(p, 2), n, seed, pair="self")
+    assert rep.within
+    oracle = tmp_path / "oracle.csv"
+    write_rows_oracle(
+        oracle,
+        ("pair", "n_samples", "rate_a", "rate_b", "corr", "threshold", "within", "notes"),
+        [("self", str(n), *_float_cells(rep.rate_a, rep.rate_b, rep.corr, rep.threshold),
+          "1", ";".join(rep.notes))],
+    )
+    assert (tmp_path / "run" / "independence.csv").read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--dps", "-3"], "dps must be >= 1"),
+    (["--dps", "0"], "dps must be >= 1"),
+    (["--simple", "--closed-form"], "give at most one of --simple, --closed-form or --dps"),
+    (["--closed-form", "--dps", "30"], "give at most one of --simple, --closed-form or --dps"),
+], ids=["dps-negative", "dps-zero", "simple-and-closed-form", "closed-form-and-dps"])
+def test_q0_refuses_bad_digits_and_mixed_modes(tmp_path, capsys, argv, message):
+    assert main(["q0", "--d", "2", *argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bslab import montecarlo
 from bslab.dynamics import ModelParams
 from bslab.exact import build_kernel, marginals, stationary
 from bslab.graphs import generate
@@ -174,3 +175,15 @@ def test_saturated_tails_stay_probabilities_and_note_zero_width():
     assert live.stderr > 0.0 and live.notes == ()
     # i.i.d. estimates are a different path and carry no note
     assert estimate_from_samples(np.ones(8)).notes == ()
+
+
+@pytest.mark.parametrize("burn_frac", [-3.0, -1e-9, math.inf, math.nan])
+def test_run_batches_refuses_a_bad_burn_frac_before_drawing(monkeypatch, burn_frac):
+    """A negative fraction would silently mean no burn-in, and inf or nan
+    cannot size one."""
+    def no_draws(*args):
+        raise AssertionError("replicas ran before the checks")
+
+    monkeypatch.setattr(montecarlo, "_replica_batches", no_draws)
+    with pytest.raises(ValueError, match="burn_frac"):
+        run_batches(generate("cycle", 5), ModelParams(p=0.3), 1000, 1, burn_frac=burn_frac)

@@ -196,6 +196,16 @@ def test_theta_sweep_monotone_and_consistent():
     assert abs(res[0.8].mean - single.mean) < 4 * (res[0.8].stderr + single.stderr + 1e-6)
 
 
+@pytest.mark.parametrize("y", [0, 2])
+def test_connect_refuses_a_strip_without_levels(y):
+    """K = 0 leaves no level above the start, so a target out of reach
+    (y = 2) is refused like one in reach, not estimated as 0."""
+    with pytest.raises(ValueError, match="levels >= 1"):
+        prob_connect_theta_sweep(4, [0.9], 0, 0, y, 10, 1)
+    with pytest.raises(ValueError, match="levels >= 1"):
+        prob_connect(4, 0.9, 0, 0, y, 10, 1)
+
+
 def test_theta_sweep_rejects_theta_outside_unit_interval():
     for bad in (1.5, -0.2):
         with pytest.raises(ValueError, match="theta"):
