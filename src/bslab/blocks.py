@@ -22,7 +22,7 @@ from .dynamics import GraphicalConstruction, ModelParams, _graphical_chunks, rep
 from .graphs import Graph, closed_neighbourhood
 from .montecarlo import Estimate, estimate_from_samples
 from .percolation import StripField, sites_at_level
-from .rng import substream
+from .rng import Stream, substream
 
 __all__ = [
     "Stick",
@@ -43,6 +43,8 @@ __all__ = [
     "block4_ring_pattern_sufficient",
     "block4_propagation_check",
     "block4_independence_check",
+    "INDEPENDENCE_CELLS",
+    "independence_chain_sites",
     "sample_stick_stats",
     "sample_block2_stats",
     "sample_block4_stats",
@@ -449,7 +451,7 @@ def _direct_stats(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    rng = substream(seed, 41)
+    rng = substream(seed, Stream.BLOCK_DIRECT)
     goods = sorted(spec.goods)
     sticks = [v for v, _ in goods]
     sizes_row = np.array([len(cols) for _, cols in goods])[None, :]
@@ -529,7 +531,18 @@ def sample_block4_stats(
     return _direct_stats("four", g, params, spec, L, n_samples, seed, lb)
 
 
-_INDEPENDENCE_PAIRS = ("same_level", "adjacent_level", "self")
+# each independence pair's grid cells as (chain offset, window index): a
+# cell covers chain positions offset..offset+3 over (w L, (w + 1) L]
+INDEPENDENCE_CELLS = {
+    "same_level": ((0, 0), (8, 0)),
+    "adjacent_level": ((0, 0), (4, 1)),
+    "self": ((0, 0),),  # the one column serves as both indicators
+}
+
+
+def independence_chain_sites(pair: str) -> int:
+    """Chain sites the cells of an independence pair cover."""
+    return max(k0 for k0, _ in INDEPENDENCE_CELLS[pair]) + 4
 
 
 @dataclass(frozen=True)
@@ -561,23 +574,16 @@ def block4_independence_check(
     positive control (correlation one).
     """
     chain = tuple(int(v) for v in chain)
-    if pair not in _INDEPENDENCE_PAIRS:
-        raise ValueError(f"pair must be one of {_INDEPENDENCE_PAIRS}")
+    if pair not in INDEPENDENCE_CELLS:
+        raise ValueError(f"pair must be one of {tuple(INDEPENDENCE_CELLS)}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if pair == "same_level":
-        cells = ((0, 0.0), (8, 0.0))
-        horizon = L
-    elif pair == "adjacent_level":
-        cells = ((0, 0.0), (4, L))
-        horizon = 2.0 * L
-    else:
-        cells = ((0, 0.0),)  # the one column serves as both indicators
-        horizon = L
-    need = max(k0 for k0, _ in cells) + 4
+    cells = INDEPENDENCE_CELLS[pair]
+    need = independence_chain_sites(pair)
     if len(chain) < need:
         raise ValueError(f"chain too short: the {pair} pair needs {need} sites")
-    blocks = tuple(Block4(chain, k0, t, L) for k0, t in cells)
+    horizon = (max(w for _, w in cells) + 1) * L
+    blocks = tuple(Block4(chain, k0, w * L, L) for k0, w in cells)
     specs = [(_nice_spec(g, blk.sites), blk.window) for blk in blocks]
     wanted = sorted({u for blk in blocks for v in blk.sites for u in closed_neighbourhood(g, v)})
     col = {v: j for j, v in enumerate(wanted)}

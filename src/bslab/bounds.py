@@ -40,17 +40,22 @@ __all__ = [
 ]
 
 
-def _check_pd(p: float, d: int) -> None:
+def _check_pd(p: float, d: int, name: str = "p") -> None:
     if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly between 0 and 1")
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
     if d < 1:
         raise ValueError("d must be a positive integer")
+
+
+def _check_L(L: float) -> None:
+    if not L >= 0:
+        raise ValueError("L must be nonnegative")
 
 
 def stick_good_lb(L: float, q: float, a: int) -> float:
     """P(a stick of length L proposes zeros on a target set of size a):
     exp(-L (1 - q^a))."""
-    if L < 0 or not (0.0 < q < 1.0) or a < 0:
+    if not L >= 0 or not (0.0 < q < 1.0) or a < 0:
         raise ValueError("need L >= 0, 0 < q < 1, a >= 0")
     return math.exp(-L * (1.0 - q**a))
 
@@ -59,8 +64,7 @@ def block2_nice_lb(L: float, p: float, d: int) -> float:
     """Lower bound for a two-block being nice, clipped to [0, 1]:
     exp(-2L(d-1)p) (exp(-L(1-q^2)) - exp(-L))^2."""
     _check_pd(p, d)
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    _check_L(L)
     q = 1.0 - p
     val = math.exp(-2.0 * L * (d - 1) * p) * (math.exp(-L * (1.0 - q * q)) - math.exp(-L)) ** 2
     return min(max(val, 0.0), 1.0)
@@ -79,8 +83,7 @@ def theta_4block(L: float, p: float, d: int) -> float:
     exp((2q^3/3 + 4q^2/3 + (4d-6)q - (4d-2)) L)
     (exp(L q^2 / 3) - 1)^2 (exp(L q^3 / 3) - 1)^4."""
     _check_pd(p, d)
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    _check_L(L)
     return _theta_4block(L, 1.0 - p, d, math)
 
 
@@ -121,8 +124,7 @@ def domination_density(p: float, d: int) -> float:
 def T1(q: float, d: int) -> float:
     """Lower edge of the drift weight window:
     (q(d+1) - 1) / (d q^2 + q(1 - (1-q)^d))."""
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie strictly between 0 and 1")
+    _check_pd(q, d, "q")
     return (q * (d + 1) - 1.0) / _progeny_type2_lb(q, d)
 
 
@@ -137,8 +139,7 @@ def T2(q: float, d: int) -> float:
 
     This is the type-2 negativity edge only while the denominator is
     positive; h_window handles the sign change."""
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie strictly between 0 and 1")
+    _check_pd(q, d, "q")
     return (2.0 - q * (d + 1)) / _t2_den(q, d)
 
 
@@ -263,6 +264,7 @@ def theta_4block_highprec(L: float, p: float, d: int, dps: int = 40) -> float:
     import mpmath as mp  # slow to import; only the cross-check paths need it
 
     _check_pd(p, d)
+    _check_L(L)
     if dps < 1:
         raise ValueError("dps must be >= 1")
     with mp.workdps(dps):

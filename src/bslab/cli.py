@@ -27,7 +27,9 @@ import numpy as np
 
 from . import __version__
 from .blocks import (
+    INDEPENDENCE_CELLS,
     block4_independence_check,
+    independence_chain_sites,
     sample_block2_stats,
     sample_block4_stats,
     sample_stick_stats,
@@ -85,7 +87,7 @@ from .percolation import (
     prob_good_level,
     sites_at_level,
 )
-from .rng import substream
+from .rng import Stream, substream
 
 
 def _fmt(x) -> str:
@@ -217,9 +219,13 @@ def cmd_simulate(args) -> int:
         raise ValueError(
             "--snapshot-every must be 0 or a whole number of steps >= 1 for the embedded flavor"
         )
+    if args.flavor == "continuous" and not 0.0 <= every < math.inf:
+        raise ValueError("--snapshot-every must be a finite time >= 0 for the continuous flavor")
+    if args.steps < 0:
+        raise ValueError("--steps must be nonnegative")
     run = Run(args, "simulate")
     if args.init == "random":
-        config0 = random_configuration(g, params, substream(seed, 11))
+        config0 = random_configuration(g, params, substream(seed, Stream.SIMULATE_INIT))
     elif args.init == "ones":
         config0 = all_ones(g)
     elif args.init == "zeros":
@@ -249,7 +255,7 @@ def cmd_simulate(args) -> int:
         final = res.final
         print(f"applied {res.applied_count} events, muted {res.muted_count}")
     else:
-        rng = substream(seed, 19)
+        rng = substream(seed, Stream.EMBEDDED_STEPS)
         config = config0
         rows = []
         for k in range(1, args.steps + 1):
@@ -371,8 +377,8 @@ def cmd_blocks(args) -> int:
             raise ValueError("--a-size must be nonnegative")
         A = closed_neighbourhood(g, args.base)[: args.a_size]
     elif chain is None:
-        pair_sites = {"same_level": 12, "adjacent_level": 8, "self": 4}[args.pair]
-        chain = _auto_chain(g, {"two": 2, "four": 4}.get(args.flavor, pair_sites))
+        want = {"two": 2, "four": 4}.get(args.flavor) or independence_chain_sites(args.pair)
+        chain = _auto_chain(g, want)
     elif args.flavor == "two" and len(chain) < 2:
         raise ValueError("--chain needs two sites for the two flavor")
     if args.flavor == "independence":
@@ -763,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--base", type=int, default=0, help="stick base vertex")
     pb.add_argument("--a-size", type=int, default=2, help="stick flavor: size of A")
     pb.add_argument("--k0", type=int, default=0, help="four flavor: chain offset")
-    pb.add_argument("--pair", choices=("same_level", "adjacent_level", "self"), default="same_level")
+    pb.add_argument("--pair", choices=tuple(INDEPENDENCE_CELLS), default="same_level")
     pb.set_defaults(func=cmd_blocks)
 
     pp = sub.add_parser("percolate", parents=[common], help="oriented percolation on the strip")

@@ -17,13 +17,14 @@ its neighbours resampled) is included for reference experiments.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .graphs import Graph, closed_neighbourhood
-from .rng import substream
+from .rng import Stream, substream
 
 __all__ = [
     "ModelParams",
@@ -145,8 +146,8 @@ def sample_graphical(
     simulation consumes its clocks, so one that draws lazily from the same
     substreams reproduces replay(sample_graphical(...)) bit for bit.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     wanted = range(g.num_vertices) if vertices is None else sorted(set(int(v) for v in vertices))
     times: list[np.ndarray] = [np.empty(0)] * g.num_vertices
     marks: list[np.ndarray] = [np.empty((0, 0), dtype=np.uint8)] * g.num_vertices
@@ -184,7 +185,7 @@ def _graphical_chunks(
     sample, ring by ring.
     """
     sizes = [len(closed_neighbourhood(g, x)) for x in wanted]
-    rng = substream(seed, 71)
+    rng = substream(seed, Stream.GRAPHICAL_BATCH)
     chunk = 4096
     done = 0
     while done < n_samples:
@@ -219,8 +220,8 @@ def sample_graphical_batch(
     the sample index; unlike sample_graphical, the streams here are not
     replayable per vertex.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     wanted = list(range(g.num_vertices)) if vertices is None else sorted(set(int(v) for v in vertices))
     done = 0
     for counts, times, marks in _graphical_chunks(g, params, horizon, n_samples, seed, wanted):
@@ -343,7 +344,7 @@ def classical_fitness_samples(
     Each step of the classical model resamples the closed neighbourhood
     of the minimum with fresh uniforms; ties pick the smallest index.
     """
-    rng = substream(seed, 17)
+    rng = substream(seed, Stream.CLASSICAL_FITNESS)
     fitness = rng.random(g.num_vertices)
     nbhd_cache = [list(closed_neighbourhood(g, x)) for x in range(g.num_vertices)]
     samples: list[np.ndarray] = []

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import substream
+from .rng import Stream, substream
 
 __all__ = [
     "Graph",
@@ -150,7 +150,7 @@ def _random_regular(n: int, d: int, seed: int | None) -> Graph:
         raise ValueError("random_regular needs a seed")
     if n * d % 2 != 0 or not (0 < d < n):
         raise ValueError("random_regular needs n*d even and 0 < d < n")
-    rng = substream(seed, 93, n, d)
+    rng = substream(seed, Stream.RANDOM_REGULAR, n, d)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_REGULAR_ATTEMPTS):
         perm = rng.permutation(stubs)

@@ -14,11 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams
 from .graphs import Graph, closed_neighbourhood
-from .rng import substream
+from .rng import Stream, substream
 
 __all__ = [
     "Estimate",
@@ -87,7 +86,7 @@ def _replica_batches(
     # Python lists, ints and floats in the step loop: indexing a numpy
     # scalar costs more than the arithmetic done with it.  A float is the
     # same IEEE double as a float64, so the sums do not depend on which.
-    rng = substream(seed, 29, replica)
+    rng = substream(seed, Stream.MC_REPLICA, replica)
     n = g.num_vertices
     p = params.p
     nbhds = [tuple(enumerate(closed_neighbourhood(g, x))) for x in range(n)]
@@ -225,6 +224,8 @@ def run_batches(
 
 def _t_estimate(values, total_budget: int, notes: tuple[str, ...]) -> Estimate:
     """Mean, stderr and 95% t-interval treating each value as one batch."""
+    from scipy.special import stdtrit  # slow to import; only the intervals need it
+
     b = np.asarray(values, dtype=float)
     nb = b.size
     mean = float(b.mean())
@@ -292,6 +293,8 @@ def tail_fit_from_batches(bd: BatchData, k_lo: int = 1, k_hi: int | None = None)
     Points with zero mass or a relative stderr above _TAIL_MAX_REL_ERR are
     dropped; returns None when fewer than _TAIL_MIN_POINTS survive.
     """
+    from scipy.special import stdtrit  # slow to import; only the intervals need it
+
     n = bd.num_vertices
     if k_hi is None:
         k_hi = n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import Estimate, estimate_from_samples
-from .rng import substream
+from .rng import Stream, substream
 
 __all__ = [
     "level_size",
@@ -264,7 +264,7 @@ def prob_connect_theta_sweep(
         return {t: unreachable for t in thetas}
     if not thetas:
         return {}
-    rng = substream(seed, 31)
+    rng = substream(seed, Stream.PERCOLATION_CONNECT)
     start = LevelSet.from_sites(N, 0, [x]).mask
     j = (y - levels % 2) // 2
     hits = {t: np.empty(n_samples, dtype=float) for t in thetas}
@@ -298,7 +298,7 @@ def prob_good_level(
     levels = K * N
     _check_strip(N, levels)
     _check_start(B, N)
-    rng = substream(seed, 37)
+    rng = substream(seed, Stream.PERCOLATION_GOOD_LEVEL)
     notes = []
     if not side_condition_ok(theta, h):
         notes.append("side condition fails: analytic bound shape not applicable")

@@ -45,6 +45,25 @@ def test_stick_good_lb_formula():
         stick_good_lb(1.0, 1.5, 2)
 
 
+@pytest.mark.parametrize("bound,L", [
+    (lambda L: stick_good_lb(L, 0.9, 2), math.nan),
+    (lambda L: block2_nice_lb(L, 0.1, 2), math.nan),
+    (lambda L: theta_4block(L, 0.1, 2), math.nan),
+    (lambda L: theta_4block_highprec(L, 0.1, 2), math.nan),
+    (lambda L: theta_4block_highprec(L, 0.1, 2), -1.0),
+], ids=["stick_good_lb-nan", "block2_nice_lb-nan", "theta_4block-nan",
+        "theta_4block_highprec-nan", "theta_4block_highprec-negative"])
+def test_window_bounds_refuse_an_L_that_is_not_nonnegative(bound, L):
+    with pytest.raises(ValueError, match="L >= 0|L must be nonnegative"):
+        bound(L)
+
+
+@pytest.mark.parametrize("edge", [T1, T2])
+def test_drift_edges_refuse_a_degree_below_one(edge):
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        edge(0.9, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     L=st.floats(0.0, 50.0),

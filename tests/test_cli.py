@@ -353,6 +353,21 @@ def test_import_loads_no_slow_scipy_modules():
     assert loaded == "[]"
 
 
+def test_import_leaves_scipy_special_unloaded():
+    """The t quantiles import scipy.special where they are computed, so
+    `import bslab` does not pay for it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bslab.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bslab; "
+        f"print(bslab.__file__); print('scipy.special' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    where, loaded = res.stdout.splitlines()
+    assert where.startswith(src)
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize("every", ["0.5", "2.5", "-1", "nan", "inf"])
 def test_simulate_embedded_rejects_fractional_snapshot_steps(tmp_path, capsys, every):
     rc = main([
@@ -381,6 +396,8 @@ def test_mc_rejects_vertex_before_sampling(tmp_path, capsys, monkeypatch):
     (["--d", "2", "--p", "0.3"], {"tilde_L"}),
     (["--d", "2", "--q", "0.3"], {"tilde_L"}),
     (["--d", "1", "--p", "0.01"], {"q0"}),
+    (["--d", "2", "--p", "0.1", "--L", "nan", "--a", "2"],
+     {"stick_good_lb", "block2_nice_lb", "theta_4block"}),
 ])
 def test_formulas_skip_only_formulas_outside_their_domain(tmp_path, capsys, argv, skipped):
     rc = main(["formulas", *argv, "--out", str(tmp_path)])
@@ -582,10 +599,21 @@ def test_csv_bytes_match_the_row_builder_oracles(tmp_path, argv, name, oracle, o
     ["percolate", "--N", "4", "--K", "0", "--y", "2", "--seed", "1"],
     *[["mc", "--graph", "cycle:6", "--p", "0.5", "--budget", "1000", "--burn-frac", frac,
        "--seed", "1"] for frac in ("-3", "inf", "nan")],
+    *[["simulate", "--graph", "cycle:5", "--p", "0.3", "--horizon", horizon, "--seed", "1"]
+      for horizon in ("nan", "inf")],
+    ["simulate", "--graph", "cycle:5", "--p", "0.3", "--flavor", "embedded", "--steps", "-5",
+     "--seed", "1"],
+    *[["simulate", "--graph", "cycle:5", "--p", "0.3", "--snapshot-every", every, "--seed", "1"]
+      for every in ("-1", "nan")],
+    ["formulas", "--d", "0", "--p", "0.1"],
+    ["theta", "--L", "nan", "--p", "0.1", "--d", "2"],
 ], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
         "blocks-not-a-chain", "chains-u-negative", "chains-v-past-end", "blocks-base-negative",
         "blocks-a-size-negative", "blocks-two-one-site", "percolate-no-levels",
-        "mc-burn-frac-negative", "mc-burn-frac-inf", "mc-burn-frac-nan"])
+        "mc-burn-frac-negative", "mc-burn-frac-inf", "mc-burn-frac-nan",
+        "simulate-horizon-nan", "simulate-horizon-inf", "simulate-steps-negative",
+        "simulate-snapshot-every-negative", "simulate-snapshot-every-nan",
+        "formulas-degree-zero", "theta-L-nan"])
 def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2

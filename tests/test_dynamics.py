@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,15 @@ def test_sample_graphical_shapes_and_order():
         assert (ts > 0).all() and (ts <= 5.0).all()
         assert (np.diff(ts) > 0).all()
         assert gc.marks[x].shape == (len(ts), len(closed_neighbourhood(g, x)))
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+def test_samplers_refuse_a_horizon_that_is_not_positive_and_finite(horizon):
+    g, params = generate("cycle", 5), ModelParams(p=0.3)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        sample_graphical(g, params, horizon, seed=1)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        next(sample_graphical_batch(g, params, horizon, 4, seed=1))
 
 
 def test_sample_graphical_restriction_is_marginal():

@@ -1,29 +1,22 @@
 """Guard on the random-stream paths of the package.
 
-Every stochastic routine draws from `substream(seed, *path)`.  Two call
-sites whose paths begin with the same literal tag may draw the same
-stream, so each literal first tag belongs to one call site.  The only
-non-literal path is the graphical construction's (replica, vertex) clock
-in `dynamics.sample_graphical`.
-
-Two overlaps are live and wait for a change that declares its moved
-outputs, because removing them changes seeded results:
-- the clock of vertex r in graphical replica 29, substream(seed, 29, r),
-  is the stream of replica r in `montecarlo.run_batches`;
-- the three direct block samplers (stick, two-block and four-block) all
-  draw from substream(seed, 41) through `blocks._direct_stats`.
+Every stochastic routine draws from `substream(seed, *path)`, and the
+first path element names the stream: a member of `bslab.rng.Stream`.  Two
+call sites that pass the same member draw the same stream, so each member
+belongs to one call site.  The only path that starts with no member is
+the graphical construction's (replica, vertex) clock in
+`dynamics.sample_graphical`.  The live overlaps are named in the table.
 """
 import ast
 from collections import defaultdict
 from pathlib import Path
 
 import bslab
+from bslab.rng import Stream
 
 PACKAGE = Path(bslab.__file__).resolve().parent
-# the literal first tags in use, each at one call site
-KNOWN_TAGS = {11, 17, 19, 29, 31, 37, 41, 71, 93}
-# (module, function) of the call sites allowed a non-literal path
-NON_LITERAL = {("dynamics", "sample_graphical")}
+# (module, function) of the call sites whose path starts with no member
+NON_MEMBER = {("dynamics", "sample_graphical")}
 
 
 class _Calls(ast.NodeVisitor):
@@ -57,21 +50,44 @@ def _substream_calls():
     return calls
 
 
-def test_each_literal_tag_has_one_call_site():
+def _member(node):
+    """The Stream member name a path node spells, or None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Stream"
+    ):
+        return node.attr
+    return None
+
+
+def test_stream_values_are_distinct():
+    # an alias (a repeated value) is listed in __members__ but not iterated
+    assert len({int(v) for v in Stream.__members__.values()}) == len(Stream.__members__)
+
+
+def test_each_stream_is_drawn_at_exactly_one_call_site():
     sites = defaultdict(list)
     for module, name, line, first in _substream_calls():
-        if isinstance(first, ast.Constant) and isinstance(first.value, int):
-            sites[first.value].append(f"{module}.{name}:{line}")
-    shared = {tag: where for tag, where in sites.items() if len(where) > 1}
-    assert not shared, f"literal substream tags used at more than one call site: {shared}"
-    # the parser sees every call site in use today
-    assert KNOWN_TAGS <= set(sites)
+        member = _member(first)
+        if member is not None:
+            sites[member].append(f"{module}.{name}:{line}")
+    assert set(sites) <= set(Stream.__members__), f"unknown streams: {set(sites) - set(Stream.__members__)}"
+    unused = set(Stream.__members__) - set(sites)
+    assert not unused, f"streams drawn at no call site: {unused}"
+    shared = {member: where for member, where in sites.items() if len(where) > 1}
+    assert not shared, f"streams drawn at more than one call site: {shared}"
 
 
-def test_only_the_graphical_clocks_have_a_non_literal_path():
-    loose = {
-        (module, name)
-        for module, name, _, first in _substream_calls()
-        if not (isinstance(first, ast.Constant) and isinstance(first.value, int))
-    }
-    assert loose == NON_LITERAL
+def test_no_call_passes_an_integer_literal_tag():
+    literal = [
+        f"{module}.{name}:{line}"
+        for module, name, line, first in _substream_calls()
+        if isinstance(first, ast.Constant) and isinstance(first.value, int)
+    ]
+    assert not literal, f"substream calls with an integer literal first path element: {literal}"
+
+
+def test_only_the_graphical_clocks_start_with_no_member():
+    loose = {(module, name) for module, name, _, first in _substream_calls() if _member(first) is None}
+    assert loose == NON_MEMBER
