@@ -34,8 +34,7 @@ __all__ = [
     "IndependenceReport",
     "ring_count",
     "stick_is_good",
-    "required_goods_pair",
-    "required_goods_quad",
+    "required_goods",
     "blocks_separated",
     "block2_is_nice",
     "block2_proposition_check",
@@ -54,6 +53,11 @@ __all__ = [
 _EPS = 1e-9
 
 
+def _check_window_length(L: float) -> None:
+    if not 0 < L < math.inf:
+        raise ValueError("window length must be positive and finite")
+
+
 @dataclass(frozen=True)
 class Stick:
     """One vertex's window ((level-1)L, level L]."""
@@ -65,8 +69,7 @@ class Stick:
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValueError("stick level starts at 1")
-        if self.L <= 0:
-            raise ValueError("window length must be positive")
+        _check_window_length(self.L)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -87,8 +90,7 @@ class Block2:
             raise ValueError("block pair must be two distinct vertices")
         if self.level < 1:
             raise ValueError("block level starts at 1")
-        if self.L <= 0:
-            raise ValueError("window length must be positive")
+        _check_window_length(self.L)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -112,8 +114,9 @@ class Block4:
         object.__setattr__(self, "chain", tuple(int(v) for v in self.chain))
         if not (0 <= self.k0 <= len(self.chain) - 4):
             raise ValueError("need four chain sites from k0")
-        if self.t < 0 or self.L <= 0:
-            raise ValueError("need t >= 0 and a positive window length")
+        _check_window_length(self.L)
+        if not 0 <= self.t < math.inf:
+            raise ValueError("need a finite t >= 0")
 
     @property
     def sites(self) -> tuple[int, int, int, int]:
@@ -160,41 +163,17 @@ def stick_is_good(g: Graph, gc: GraphicalConstruction, stick: Stick, A) -> bool:
     return _is_nice(gc, _stick_spec(g, stick.base, A), stick.window)
 
 
-def required_goods_pair(g: Graph, x: int, y: int) -> dict[int, frozenset[int]]:
-    """Stick goodness demands whose conjunction makes {x, y} pair nice.
+def required_goods(g: Graph, sites: tuple[int, ...]) -> dict[int, frozenset[int]]:
+    """Stick goodness demands of the pair block or four-block on `sites`.
 
-    Both pair sticks must be {x,y}-good; the stick of every neighbour v
-    of x must be {x}-good and of every neighbour w of y {y}-good, which
-    makes common neighbours {x,y}-good via the union.
+    Each stick w in the closed neighbourhood of a block site must be good
+    for the block sites in N[w], so a common neighbour of two sites, or a
+    site on a chord, is good for both.  Keys run over the sites first,
+    then each site's neighbours in adjacency order.
     """
-    req: dict[int, set[int]] = {x: {x, y}, y: {x, y}}
-    for v in g.adjacency[x]:
-        req.setdefault(v, set()).add(x)
-    for w in g.adjacency[y]:
-        req.setdefault(w, set()).add(y)
-    return {v: frozenset(a) for v, a in req.items()}
-
-
-def required_goods_quad(g: Graph, sites: tuple[int, int, int, int]) -> dict[int, frozenset[int]]:
-    """Stick goodness demands for a four-site block a-b-c-e.
-
-    The four block sticks carry the explicit sets {a,b}, {a,b,c},
-    {b,c,e}, {c,e}; on top of that, every stick whose base is adjacent
-    to some block site must be good for exactly the block sites it is
-    adjacent to.  The second rule is applied to block sites as well,
-    which matters when the chain has a gap-two chord.
-    """
-    a, b, c, e = sites
-    req: dict[int, set[int]] = {
-        a: {a, b},
-        b: {a, b, c},
-        c: {b, c, e},
-        e: {c, e},
-    }
-    for v in sites:
-        for w in g.adjacency[v]:
-            req.setdefault(w, set()).add(v)
-    return {w: frozenset(A) for w, A in req.items()}
+    block = set(sites)
+    sticks = dict.fromkeys([*sites, *(w for v in sites for w in g.adjacency[v])])
+    return {w: frozenset(block.intersection(closed_neighbourhood(g, w))) for w in sticks}
 
 
 def blocks_separated(g: Graph, first: Block2, second: Block2) -> bool:
@@ -232,12 +211,8 @@ def _nice_spec(g: Graph, sites: tuple[int, ...]) -> _NiceSpec:
     chain_to_percolation and the propagation checks ask for the same few
     blocks again and again."""
     _require_adjacent(g, sites)
-    if len(sites) == 2:
-        req, orders = required_goods_pair(g, *sites), ()
-    else:
-        req, orders = required_goods_quad(g, sites), _ORDERS4
-    goods = tuple((v, _mark_columns(g, v, A)) for v, A in req.items())
-    return _NiceSpec(sites, goods, orders)
+    goods = tuple((v, _mark_columns(g, v, A)) for v, A in required_goods(g, sites).items())
+    return _NiceSpec(sites, goods, _ORDERS4 if len(sites) == 4 else ())
 
 
 def _stick_spec(g: Graph, base: int, A) -> _NiceSpec:
@@ -494,6 +469,7 @@ def sample_stick_stats(
     seed: int,
 ) -> BlockStats:
     """Frequency of A-goodness for one stick, against the closed form."""
+    _check_window_length(L)
     if not (0 <= base < g.num_vertices):
         raise ValueError("base vertex out of range")
     spec = _stick_spec(g, base, A)
@@ -511,6 +487,7 @@ def sample_block2_stats(
     seed: int,
 ) -> BlockStats:
     """Nice-rate of the pair block {x, y}, against the analytic bound."""
+    _check_window_length(L)
     spec = _nice_spec(g, (x, y))
     lb = block2_nice_lb(L, params.p, g.max_degree)
     return _direct_stats("two", g, params, spec, L, n_samples, seed, lb)
@@ -531,18 +508,28 @@ def sample_block4_stats(
     return _direct_stats("four", g, params, spec, L, n_samples, seed, lb)
 
 
-# each independence pair's grid cells as (chain offset, window index): a
-# cell covers chain positions offset..offset+3 over (w L, (w + 1) L]
+# The four-block grid: strip site m at level k is the four-block over
+# chain positions _STRIDE m .. _STRIDE m + 3 in the window (k L, (k + 1) L].
+_STRIDE = 4
+
+
+def _grid_cell(chain: tuple[int, ...], m: int, k: int, L: float) -> Block4:
+    return Block4(chain, _STRIDE * m, k * L, L)
+
+
+# each independence pair's grid cells as (strip site, level): same_level
+# takes two cells of one level, adjacent_level a cell and one of its bond
+# targets on the next
 INDEPENDENCE_CELLS = {
-    "same_level": ((0, 0), (8, 0)),
-    "adjacent_level": ((0, 0), (4, 1)),
+    "same_level": ((0, 0), (2, 0)),
+    "adjacent_level": ((0, 0), (1, 1)),
     "self": ((0, 0),),  # the one column serves as both indicators
 }
 
 
 def independence_chain_sites(pair: str) -> int:
     """Chain sites the cells of an independence pair cover."""
-    return max(k0 for k0, _ in INDEPENDENCE_CELLS[pair]) + 4
+    return _STRIDE * max(m for m, _ in INDEPENDENCE_CELLS[pair]) + 4
 
 
 @dataclass(frozen=True)
@@ -568,10 +555,9 @@ def block4_independence_check(
 ) -> IndependenceReport:
     """Empirical correlation of niceness for two grid cells.
 
-    same_level takes the cells over chain positions 0..3 and 8..11 in
-    one window; adjacent_level the cell over 0..3 followed by the one
-    over 4..7 in the next window; self compares a cell with itself as a
-    positive control (correlation one).
+    same_level takes strip sites 0 and 2 of the first level;
+    adjacent_level site 0 and its bond target 1 on the next level; self
+    compares a cell with itself as a positive control (correlation one).
     """
     chain = tuple(int(v) for v in chain)
     if pair not in INDEPENDENCE_CELLS:
@@ -582,8 +568,8 @@ def block4_independence_check(
     need = independence_chain_sites(pair)
     if len(chain) < need:
         raise ValueError(f"chain too short: the {pair} pair needs {need} sites")
-    horizon = (max(w for _, w in cells) + 1) * L
-    blocks = tuple(Block4(chain, k0, w * L, L) for k0, w in cells)
+    horizon = (max(k for _, k in cells) + 1) * L
+    blocks = tuple(_grid_cell(chain, m, k, L) for m, k in cells)
     specs = [(_nice_spec(g, blk.sites), blk.window) for blk in blocks]
     wanted = sorted({u for blk in blocks for v in blk.sites for u in closed_neighbourhood(g, v)})
     col = {v: j for j, v in enumerate(wanted)}
@@ -629,8 +615,7 @@ class BlockGrid:
         object.__setattr__(self, "chain", tuple(int(v) for v in self.chain))
         if len(self.chain) < 2:
             raise ValueError("grid needs a chain of at least two sites")
-        if self.L <= 0:
-            raise ValueError("window length must be positive")
+        _check_window_length(self.L)
 
     def positions(self, k: int, n: int) -> tuple[int, int]:
         if n % 2 == 0:
@@ -664,6 +649,7 @@ def chain_to_percolation(
     chain = tuple(int(v) for v in chain)
     if flavor not in _FLAVORS:
         raise ValueError(f"flavor must be one of {_FLAVORS}")
+    _check_window_length(L)
     levels = int(math.floor(gc.horizon / L + _EPS)) - 1
     if levels < 1:
         raise ValueError("horizon too short: need at least two block windows")
@@ -677,13 +663,13 @@ def chain_to_percolation(
         def nice(m: int, level: int) -> bool:
             return block2_is_nice(g, gc, grid.block((m + 1) // 2, level))
     else:
-        N = (len(chain) - 4) // 8
+        N = (len(chain) - 4) // (2 * _STRIDE)
         if N < 1:
             raise ValueError("chain too short for a four-site block strip")
 
         @functools.cache
         def nice(m: int, level: int) -> bool:
-            return block4_is_nice(g, gc, Block4(chain, 4 * m, level * L, L))
+            return block4_is_nice(g, gc, _grid_cell(chain, m, level, L))
     bl, br = [], []
     for n in range(levels):
         ms = sites_at_level(N, n)

@@ -284,14 +284,18 @@ def expected_zeros_from_batches(bd: BatchData) -> Estimate:
 
 
 _TAIL_MAX_REL_ERR = 0.5
+# a relative stderr this small is rounding noise on a mass of one, and its
+# weight mean / stderr would make the fit's normal matrix singular
+_TAIL_MIN_REL_ERR = 1e-12
 _TAIL_MIN_POINTS = 3
 
 
 def tail_fit_from_batches(bd: BatchData, k_lo: int = 1, k_hi: int | None = None) -> TailFit | None:
     """Fit the geometric tail of the zero count.
 
-    Points with zero mass or a relative stderr above _TAIL_MAX_REL_ERR are
-    dropped; returns None when fewer than _TAIL_MIN_POINTS survive.
+    Points with zero mass, or a relative stderr at most _TAIL_MIN_REL_ERR
+    or above _TAIL_MAX_REL_ERR, are dropped; returns None when fewer than
+    _TAIL_MIN_POINTS survive.
     """
     from scipy.special import stdtrit  # slow to import; only the intervals need it
 
@@ -301,9 +305,7 @@ def tail_fit_from_batches(bd: BatchData, k_lo: int = 1, k_hi: int | None = None)
     ks, ys, ws = [], [], []
     for k in range(max(k_lo, 1), k_hi + 1):
         est = zeros_tail_from_batches(bd, k)
-        if est.mean <= 0.0 or est.stderr <= 0.0:
-            continue
-        if est.stderr / est.mean > _TAIL_MAX_REL_ERR:
+        if est.mean <= 0.0 or not _TAIL_MIN_REL_ERR < est.stderr / est.mean <= _TAIL_MAX_REL_ERR:
             continue
         ks.append(k)
         ys.append(math.log(est.mean))

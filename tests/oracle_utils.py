@@ -25,8 +25,6 @@ from bslab.blocks import (
     _check_window,
     _require_adjacent,
     _rings_in_order,
-    required_goods_pair,
-    required_goods_quad,
 )
 from bslab.dynamics import (
     ALLONES_SEMANTICS,
@@ -706,6 +704,47 @@ def _has_increasing_rings_oracle(rows, t0: float, t1: float) -> bool:
             return False
         t = float(ts[i])
     return True
+
+
+# the pair and four-block requirement rules as two separate functions, the
+# form blocks.required_goods merged; the block oracles below use these
+
+
+def required_goods_pair(g: Graph, x: int, y: int) -> dict[int, frozenset[int]]:
+    """Stick goodness demands whose conjunction makes {x, y} pair nice.
+
+    Both pair sticks must be {x,y}-good; the stick of every neighbour v
+    of x must be {x}-good and of every neighbour w of y {y}-good, which
+    makes common neighbours {x,y}-good via the union.
+    """
+    req: dict[int, set[int]] = {x: {x, y}, y: {x, y}}
+    for v in g.adjacency[x]:
+        req.setdefault(v, set()).add(x)
+    for w in g.adjacency[y]:
+        req.setdefault(w, set()).add(y)
+    return {v: frozenset(a) for v, a in req.items()}
+
+
+def required_goods_quad(g: Graph, sites: tuple[int, int, int, int]) -> dict[int, frozenset[int]]:
+    """Stick goodness demands for a four-site block a-b-c-e.
+
+    The four block sticks carry the explicit sets {a,b}, {a,b,c},
+    {b,c,e}, {c,e}; on top of that, every stick whose base is adjacent
+    to some block site must be good for exactly the block sites it is
+    adjacent to.  The second rule is applied to block sites as well,
+    which matters when the chain has a gap-two chord.
+    """
+    a, b, c, e = sites
+    req: dict[int, set[int]] = {
+        a: {a, b},
+        b: {a, b, c},
+        c: {b, c, e},
+        e: {c, e},
+    }
+    for v in sites:
+        for w in g.adjacency[v]:
+            req.setdefault(w, set()).add(v)
+    return {w: frozenset(A) for w, A in req.items()}
 
 
 def is_nice_oracle(g: Graph, gc: GraphicalConstruction, sites, req, orders, window) -> bool:

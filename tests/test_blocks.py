@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bslab import blocks
 from bslab.blocks import (
+    INDEPENDENCE_CELLS,
     Block2,
     Block4,
     BlockGrid,
@@ -24,8 +25,7 @@ from bslab.blocks import (
     block4_ring_pattern_sufficient,
     blocks_separated,
     chain_to_percolation,
-    required_goods_pair,
-    required_goods_quad,
+    required_goods,
     ring_count,
     sample_block2_stats,
     sample_block4_stats,
@@ -39,8 +39,10 @@ from bslab.dynamics import (
     sample_graphical,
     sample_graphical_batch,
 )
-from bslab.graphs import closed_neighbourhood, generate
+from bslab.graphs import closed_neighbourhood, generate, parse_graph_spec
 from bslab.percolation import level_size
+
+from oracle_utils import required_goods_pair, required_goods_quad
 
 
 def make_gc(g, horizon, rings):
@@ -133,7 +135,7 @@ def test_stick_goodness_monotone_in_set():
 
 def test_required_goods_pair_exact():
     g = generate("cycle", 12)
-    req = required_goods_pair(g, 2, 3)
+    req = required_goods(g, (2, 3))
     assert req == {
         2: frozenset({2, 3}),
         3: frozenset({2, 3}),
@@ -144,7 +146,7 @@ def test_required_goods_pair_exact():
 
 def test_required_goods_quad_exact():
     g = generate("cycle", 16)
-    req = required_goods_quad(g, (0, 1, 2, 3))
+    req = required_goods(g, (0, 1, 2, 3))
     assert req == {
         0: frozenset({0, 1}),
         1: frozenset({0, 1, 2}),
@@ -153,6 +155,32 @@ def test_required_goods_quad_exact():
         15: frozenset({0}),
         4: frozenset({3}),
     }
+
+
+def _walks(g, length):
+    """Every walk of `length` distinct sites whose consecutive sites are adjacent."""
+    walks = [(v,) for v in range(g.num_vertices)]
+    for _ in range(length - 1):
+        walks = [w + (u,) for w in walks for u in g.adjacency[w[-1]] if u not in w]
+    return walks
+
+
+def test_required_goods_is_the_pair_and_four_block_rules():
+    """One rule gives the same demands, in the same key order, as the two
+    rules it replaced, chords and common neighbours included."""
+    specs = ("cycle:5", "cycle:8", "path:7", "torus2d:3x3", "torus2d:3x4", "torus2d:4x4",
+             "complete:5")
+    checked = 0
+    for g in map(parse_graph_spec, specs):
+        for sites in _walks(g, 2):
+            want = required_goods_pair(g, *sites)
+            assert list(required_goods(g, sites).items()) == list(want.items())
+            checked += 1
+        for sites in _walks(g, 4):
+            want = required_goods_quad(g, sites)
+            assert list(required_goods(g, sites).items()) == list(want.items())
+            checked += 1
+    assert checked == 1632
 
 
 def test_blocks_separated():
@@ -235,7 +263,7 @@ def test_ring_pattern_implies_nice_on_samples():
     params = ModelParams(p=0.02)
     L = 5.0
     blk = Block4(chain, 0, 0.0, L)
-    req = required_goods_quad(g, blk.sites)
+    req = required_goods(g, blk.sites)
     checked = 0
     for gc in sample_graphical_batch(g, params, L, 800, 21):
         goods = all(
@@ -406,6 +434,39 @@ def test_stick_stats_reject_a_outside_the_neighbourhood_before_drawing(monkeypat
             sample_stick_stats(g, ModelParams(p=0.05), 3, A, 1.0, 100, 5)
 
 
+@pytest.mark.parametrize("L", [float("nan"), float("inf"), 0.0, -1.0])
+def test_window_length_refused_before_drawing(monkeypatch, L):
+    """Every block type and sampler refuses a window length that is not
+    positive and finite before any sample is drawn."""
+    def no_draws(*args):
+        raise AssertionError("samples drawn before the checks")
+
+    monkeypatch.setattr(blocks, "substream", no_draws)
+    monkeypatch.setattr(blocks, "_graphical_chunks", no_draws)
+    g = generate("cycle", 16)
+    chain = tuple(range(12))
+    params = ModelParams(p=0.05)
+    for make in (
+        lambda: Stick(0, 1, L),
+        lambda: Block2(0, 1, 1, L),
+        lambda: Block4(chain, 0, 0.0, L),
+        lambda: BlockGrid(chain, L),
+        lambda: sample_stick_stats(g, params, 3, (2, 3), L, 100, 5),
+        lambda: sample_block2_stats(g, params, 0, 1, L, 100, 5),
+        lambda: sample_block4_stats(g, params, chain, 0, L, 100, 5),
+        lambda: block4_independence_check(g, chain, params, L, 100, 5),
+        lambda: chain_to_percolation(g, chain, dense_zero_gc(g, 4.0), L),
+    ):
+        with pytest.raises(ValueError, match="window length must be positive and finite"):
+            make()
+
+
+def test_block4_refuses_a_start_that_is_not_finite():
+    for t in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            Block4((0, 1, 2, 3), 0, t, 1.0)
+
+
 def test_sampler_validation_and_determinism():
     g = generate("cycle", 12)
     params = ModelParams(p=0.05)
@@ -454,6 +515,17 @@ def test_block4_independence_self_and_adjacent():
         block4_independence_check(g, chain, params, L, 1, 13)
 
 
+def test_independence_cells_are_grid_cells():
+    """Each cell (m, k) is a strip site at its level (m + k even), and a
+    pair's second cell is a same-level neighbour or a bond target of the
+    first."""
+    for cells in INDEPENDENCE_CELLS.values():
+        assert all((m + k) % 2 == 0 for m, k in cells)
+        if len(cells) == 2:
+            (m, k), second = cells
+            assert second in ((m + 2, k), (m - 1, k + 1), (m + 1, k + 1))
+
+
 # ring times on a coarse grid, so rings sit exactly at t0 and at t1
 _RING_TIME = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 2.0))
 
@@ -499,6 +571,27 @@ def test_block4_independence_matches_pathwise_oracle(pair, n_sites):
     assert rep.rate_a == ind[:, 0].mean()
     assert rep.rate_b == ind[:, 1].mean()
     assert rep.corr == float(np.corrcoef(ind[:, 0], ind[:, 1])[0, 1])
+
+
+@pytest.mark.parametrize("pair, cells", [
+    ("same_level", ((0, 0.0), (8, 0.0))),
+    ("adjacent_level", ((0, 0.0), (4, 1.0))),
+])
+def test_block4_independence_cells_sit_four_chain_sites_apart(pair, cells):
+    """On a path the cells' neighbourhoods are not translates of each other,
+    so only the cells at chain offsets 4m reproduce the pathwise indicators."""
+    g = generate("path", 12)
+    chain = tuple(range(12))
+    params = ModelParams(p=0.02)
+    L = tilde_L(0.01, 2)
+    n, seed = 600, 31
+    rep = block4_independence_check(g, chain, params, L, n, seed, pair=pair)
+    blks = [Block4(chain, k0, w * L, L) for k0, w in cells]
+    dep = sorted({u for b in blks for v in b.sites for u in closed_neighbourhood(g, v)})
+    stream = sample_graphical_batch(g, params, (cells[-1][1] + 1) * L, n, seed, vertices=dep)
+    ind = np.array([[block4_is_nice(g, gc, b) for b in blks] for gc in stream], dtype=float)
+    assert 0.0 < ind[:, 1].mean() < 1.0
+    assert (rep.rate_a, rep.rate_b) == (ind[:, 0].mean(), ind[:, 1].mean())
 
 
 def test_block_grid_geometry():
@@ -585,6 +678,22 @@ def test_chain_to_percolation_four_block_mapping():
                 want_r = m + 1 <= 2 and cell(m + 1, n + 1)
                 assert field.bonds_left[n][i] == want_l
                 assert field.bonds_right[n][i] == want_r
+
+
+def test_chain_to_percolation_four_block_cells_sit_four_chain_sites_apart():
+    """Every cell is nice but the one over chain positions 4..7 at level 1,
+    spoiled by a one that 7 proposes for itself, and the one over 8..11 at
+    level 2, spoiled likewise by 11; on a grid of a smaller stride neither
+    cell holds its spoiled site."""
+    g = generate("cycle", 16)
+    rings = {x: [(t, {}) for t in np.arange(0.1, 3.0 + 1e-9, 0.1)] for x in range(16)}
+    rings[7].append((1.55, {7: 1}))
+    rings[11].append((2.55, {11: 1}))
+    field = chain_to_percolation(g, tuple(range(12)), make_gc(g, 3.0, rings), 1.0,
+                                 flavor="four_block")
+    assert (field.N, field.levels) == (1, 2)
+    assert [b.tolist() for b in field.bonds_left] == [[False, False], [True]]
+    assert [b.tolist() for b in field.bonds_right] == [[False, False], [False]]
 
 
 def test_chain_to_percolation_validation():

@@ -585,6 +585,12 @@ def test_csv_bytes_match_the_row_builder_oracles(tmp_path, argv, name, oracle, o
     assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+# `blocks` runs that a window length not positive and finite used to crash
+# with numpy's message or, at zero, to run
+_BAD_WINDOWS = [("independence", "nan"), ("independence", "inf"), ("two", "inf"),
+                ("stick", "inf"), ("four", "inf"), ("stick", "0"), ("two", "0")]
+
+
 @pytest.mark.parametrize("argv", [
     ["percolate", "--mode", "connect", "--N", "4", "--n-samples", "1", "--seed", "1"],
     ["percolate", "--N", "4", "--theta", "1.5", "--seed", "1"],
@@ -607,18 +613,31 @@ def test_csv_bytes_match_the_row_builder_oracles(tmp_path, argv, name, oracle, o
       for every in ("-1", "nan")],
     ["formulas", "--d", "0", "--p", "0.1"],
     ["theta", "--L", "nan", "--p", "0.1", "--d", "2"],
+    *[["blocks", "--graph", "cycle:16", "--p", "0.01", "--flavor", flavor, "--L", L, "--seed", "1"]
+      for flavor, L in _BAD_WINDOWS],
 ], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
         "blocks-not-a-chain", "chains-u-negative", "chains-v-past-end", "blocks-base-negative",
         "blocks-a-size-negative", "blocks-two-one-site", "percolate-no-levels",
         "mc-burn-frac-negative", "mc-burn-frac-inf", "mc-burn-frac-nan",
         "simulate-horizon-nan", "simulate-horizon-inf", "simulate-steps-negative",
         "simulate-snapshot-every-negative", "simulate-snapshot-every-nan",
-        "formulas-degree-zero", "theta-L-nan"])
+        "formulas-degree-zero", "theta-L-nan",
+        *[f"blocks-{flavor}-L-{L}" for flavor, L in _BAD_WINDOWS]])
 def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flavor", ["stick", "two", "four", "independence"])
+@pytest.mark.parametrize("L", ["nan", "inf", "0"])
+def test_blocks_refuses_a_window_length_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                        flavor, L):
+    argv = ["blocks", "--graph", "cycle:16", "--p", "0.01", "--flavor", flavor, "--L", L,
+            "--seed", "1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: window length must be positive and finite\n"
 
 
 @pytest.mark.parametrize("flavor,pair,sites", [
@@ -703,6 +722,16 @@ def test_mc_csv_matches_the_library(tmp_path, capsys, tail_fit):
         + (f"  [{'; '.join(est.notes)}]" if est.notes else "") + "\n"
         for name, est in pairs
     )
+
+
+def test_mc_tail_fit_drops_a_point_of_rounding_width(tmp_path):
+    """P(zeros >= 1) = 1 - 2e-16 with a stderr of 6e-17 is rounding noise; its
+    weight near 1e16 made the fit's normal matrix singular."""
+    argv = ["mc", "--graph", "regular:12:3", "--p", "0.25", "--budget", "20000",
+            "--threads", "1", "--seed", "6", "--tail-fit", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    rows = (tmp_path / "run" / "mc_estimates.csv").read_text().splitlines()
+    assert rows[-1].startswith("tail_fit_c2(k=2..12),")
 
 
 def test_mc_tail_fit_skips_with_too_few_points(tmp_path, capsys):
