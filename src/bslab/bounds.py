@@ -48,15 +48,16 @@ def _check_pd(p: float, d: int, name: str = "p") -> None:
 
 
 def _check_L(L: float) -> None:
-    if not L >= 0:
-        raise ValueError("L must be nonnegative")
+    if not 0 <= L < math.inf:
+        raise ValueError("L must be nonnegative and finite")
 
 
 def stick_good_lb(L: float, q: float, a: int) -> float:
     """P(a stick of length L proposes zeros on a target set of size a):
     exp(-L (1 - q^a))."""
-    if not L >= 0 or not (0.0 < q < 1.0) or a < 0:
-        raise ValueError("need L >= 0, 0 < q < 1, a >= 0")
+    _check_L(L)
+    if not (0.0 < q < 1.0) or a < 0:
+        raise ValueError("need 0 < q < 1, a >= 0")
     return math.exp(-L * (1.0 - q**a))
 
 
@@ -193,10 +194,14 @@ def choose_h(q: float, d: int) -> float:
 _Q0_TOL = 1e-12
 
 
-def q0(d: int) -> float:
-    """Largest q below which the weight window is nonempty (bisection)."""
+def _check_q0_d(d: int) -> None:
     if d < 2:
         raise ValueError("d must be at least 2")
+
+
+def q0(d: int) -> float:
+    """Largest q below which the weight window is nonempty (bisection)."""
+    _check_q0_d(d)
     lo = 1.0 / (d + 1) + 1e-9
     hi = 1.0 - 1e-12
     if h_window(lo, d) is None:
@@ -274,6 +279,7 @@ def theta_4block_highprec(L: float, p: float, d: int, dps: int = 40) -> float:
 
 def q0_highprec(d: int, dps: int = 40) -> float:
     """q0 bisection on h_window itself, run on mpmath numbers at `dps` digits."""
+    _check_q0_d(d)
     import mpmath as mp  # slow to import; only the cross-check paths need it
 
     if dps < 1:

@@ -99,14 +99,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# commands that print one closed-form value and write no file, not even a manifest
+_PRINT_ONLY = ("q0", "theta")
+
+
 class Run:
-    """Collects CSV outputs of one command and writes the manifest.
+    """One run, built by main: collects the command's CSV outputs and writes the manifest.
 
     --out is created at the first write, so a command that fails before
     writing anything leaves no directory behind."""
 
-    def __init__(self, args: argparse.Namespace, command: str) -> None:
-        self.command = command
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.command = f"preset:{args.name}" if args.command == "preset" else args.command
         self.args = args
         self.out = Path(args.out)
         self.outputs: list[str] = []
@@ -122,7 +126,9 @@ class Run:
                 w.writerow([_fmt(c) for c in row])
         self.outputs.append(name)
 
-    def finish(self) -> int:
+    def finish(self) -> None:
+        if self.command in _PRINT_ONLY:
+            return
         import mpmath
         import scipy
 
@@ -150,7 +156,6 @@ class Run:
         with open(self.out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return 0
 
 
 def _require_seed(args) -> int:
@@ -210,7 +215,7 @@ def _connect_rows(N, thetas, K, x, y, n_samples, seed):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, run: Run) -> None:
     seed = _require_seed(args)
     g = _graph(args)
     params = ModelParams(p=args.p)
@@ -223,7 +228,6 @@ def cmd_simulate(args) -> int:
         raise ValueError("--snapshot-every must be a finite time >= 0 for the continuous flavor")
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
-    run = Run(args, "simulate")
     if args.init == "random":
         config0 = random_configuration(g, params, substream(seed, Stream.SIMULATE_INIT))
     elif args.init == "ones":
@@ -267,13 +271,11 @@ def cmd_simulate(args) -> int:
         final = config
         print(f"ran {args.steps} embedded steps")
     print(f"final {format_configuration(final)} (ones {int(final.sum())}/{g.num_vertices})")
-    return run.finish()
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args, run: Run) -> None:
     g = _graph(args)
     params = ModelParams(p=args.p)
-    run = Run(args, "exact")
     tm = build_kernel(g, params, allones=args.allones)
     sd = stationary(tm, flavor=args.flavor)
     mg = marginals(sd, g)
@@ -292,16 +294,14 @@ def cmd_exact(args) -> int:
         f"expected zeros {mg.expected_zeros!r}; "
         f"P(all ones) {float(mg.ones_hist[g.num_vertices])!r}"
     )
-    return run.finish()
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args, run: Run) -> None:
     seed = _require_seed(args)
     g = _graph(args)
     params = ModelParams(p=args.p)
     if not (0 <= args.vertex < g.num_vertices):
         raise ValueError("vertex out of range")
-    run = Run(args, "mc")
     bd = run_batches(
         g,
         params,
@@ -342,7 +342,6 @@ def cmd_mc(args) -> int:
     for functional, est in pairs:
         extra = f"  [{'; '.join(est.notes)}]" if est.notes else ""
         print(f"{functional} = {est.mean!r} +- {est.stderr!r}{extra}")
-    return run.finish()
 
 
 def _auto_chain(g, want: int):
@@ -358,11 +357,10 @@ def _auto_chain(g, want: int):
 _WINDOWS = {"stick": hat_L, "two": hat_L, "four": tilde_L, "independence": tilde_L}
 
 
-def cmd_blocks(args) -> int:
+def cmd_blocks(args, run: Run) -> None:
     seed = _require_seed(args)
     g = _graph(args)
     params = ModelParams(p=args.p)
-    run = Run(args, "blocks")
     if args.chain:
         chain = tuple(int(v) for v in args.chain.split(","))
         if not is_chain(g, chain):
@@ -405,7 +403,7 @@ def cmd_blocks(args) -> int:
             f"{rep.pair}: corr {rep.corr!r} (threshold {rep.threshold!r}, "
             f"{'within' if rep.within else 'OUTSIDE'})"
         )
-        return run.finish()
+        return
     if args.flavor == "stick":
         st = sample_stick_stats(g, params, args.base, A, L, args.n_samples, seed)
     elif args.flavor == "two":
@@ -417,11 +415,9 @@ def cmd_blocks(args) -> int:
         f"{st.flavor}: nice rate {st.nice_rate!r} +- {st.stderr!r}, "
         f"analytic lb {st.analytic_lb!r}"
     )
-    return run.finish()
 
 
-def cmd_percolate(args) -> int:
-    run = Run(args, "percolate")
+def cmd_percolate(args, run: Run) -> None:
     rows = []
     if args.mode == "contour":
         rep = contour_bounds(args.N, args.theta, args.h, args.K)
@@ -452,13 +448,11 @@ def cmd_percolate(args) -> int:
         )
         print(f"P[(1-h)-good level] = {est.mean!r} +- {est.stderr!r}")
     run.write_csv("percolation.csv", _PERCOLATION_HEADER, rows)
-    return run.finish()
 
 
-def cmd_formulas(args) -> int:
+def cmd_formulas(args, run: Run) -> None:
     if args.p is not None and args.q is not None:
         raise ValueError("give at most one of --p or --q")
-    run = Run(args, "formulas")
     have = {"d": args.d}
     if args.p is not None:
         have.update(p=args.p, q=1.0 - args.p)
@@ -485,10 +479,9 @@ def cmd_formulas(args) -> int:
     if not rows:
         raise ValueError("no formula is computable from the given inputs")
     run.write_csv("formulas.csv", ("formula", "inputs", "value", "flags"), rows)
-    return run.finish()
 
 
-def cmd_q0(args) -> int:
+def cmd_q0(args, run: Run) -> None:
     if args.simple + args.closed_form + (args.dps is not None) > 1:
         raise ValueError("give at most one of --simple, --closed-form or --dps")
     if args.simple:
@@ -501,22 +494,19 @@ def cmd_q0(args) -> int:
         print(repr(q0_highprec(args.d, dps=args.dps)))
     else:
         print(repr(q0(args.d)))
-    return 0
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args, run: Run) -> None:
     print(repr(theta_4block(args.L, args.p, args.d)))
-    return 0
 
 
-def cmd_drift(args) -> int:
+def cmd_drift(args, run: Run) -> None:
     g = _graph(args)
     if (args.p is None) == (args.q is None):
         raise ValueError("give exactly one of --p or --q")
     params = ModelParams(p=args.p) if args.p is not None else ModelParams.from_q(args.q)
     d = g.max_degree
     h = args.h if args.h is not None else choose_h(params.q, d)
-    run = Run(args, "drift")
     report = verify_all_bounds(g, params, h, keep_rows=True)
     run.write_csv(
         "drift_scan.csv",
@@ -534,12 +524,10 @@ def cmd_drift(args) -> int:
         print("note: irregular graph, only degree-local bounds were checked")
     for st in report.checks:
         print(f"  {st.name}: min margin {st.min_margin!r} over {st.count}")
-    return run.finish()
 
 
-def cmd_chains(args) -> int:
+def cmd_chains(args, run: Run) -> None:
     g = _graph(args)
-    run = Run(args, "chains")
     rows = []
     if args.mode == "longest":
         path = longest_chain(g, mode=args.search, budget=args.budget)
@@ -558,7 +546,6 @@ def cmd_chains(args) -> int:
         else:
             print(f"covered by {cover.k} chains of >= {args.min_len} vertices")
     run.write_csv("chains.csv", ("kind", "length", "vertices"), rows)
-    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +668,12 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def cmd_preset(args) -> int:
+def cmd_preset(args, run: Run) -> None:
     seed = _require_seed(args)
     if args.name not in _PRESETS:
         raise ValueError(f"unknown preset {args.name!r}; choose from {PRESET_NAMES}")
-    run = Run(args, f"preset:{args.name}")
     _PRESETS[args.name](run, seed, args.threads)
     print(f"preset {args.name}: wrote {', '.join(run.outputs)}")
-    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -729,31 +714,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycle:N | path:N | torus2d:AxB | complete:N | regular:N:d | file:PATH",
     )
 
-    ps = sub.add_parser("simulate", parents=[common, gopt], help="run one seeded trajectory")
-    ps.add_argument("--p", type=float, required=True)
-    ps.add_argument("--flavor", choices=FLAVORS, default="continuous")
+    # the model law of simulate, exact and mc
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--p", type=float, required=True)
+    law.add_argument("--flavor", choices=FLAVORS, default="continuous")
+    law.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
+
+    ps = sub.add_parser("simulate", parents=[common, gopt, law], help="run one seeded trajectory")
     ps.add_argument("--horizon", type=float, default=20.0)
     ps.add_argument("--steps", type=int, default=1000)
-    ps.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
     ps.add_argument("--init", type=str, default="random", help="random | ones | zeros | bit string")
     ps.add_argument("--snapshot-every", type=float, default=0.0)
     ps.add_argument("--replica", type=int, default=0)
     ps.set_defaults(func=cmd_simulate)
 
-    pe = sub.add_parser("exact", parents=[common, gopt], help="stationary law by power iteration")
-    pe.add_argument("--p", type=float, required=True)
-    pe.add_argument("--flavor", choices=FLAVORS, default="continuous")
-    pe.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
+    pe = sub.add_parser("exact", parents=[common, gopt, law], help="stationary law by power iteration")
     pe.set_defaults(func=cmd_exact)
 
-    pm = sub.add_parser("mc", parents=[common, gopt], help="batch-means Monte Carlo estimates")
-    pm.add_argument("--p", type=float, required=True)
+    pm = sub.add_parser("mc", parents=[common, gopt, law], help="batch-means Monte Carlo estimates")
     pm.add_argument("--budget", type=int, default=100_000, help="post-burn-in updates per replica")
     pm.add_argument("--replicas", type=int, default=4)
     pm.add_argument("--batches", type=int, default=16)
     pm.add_argument("--burn-frac", type=float, default=0.1)
-    pm.add_argument("--flavor", choices=FLAVORS, default="continuous")
-    pm.add_argument("--allones", choices=ALLONES_SEMANTICS, default="resample")
     pm.add_argument("--vertex", type=int, default=0)
     pm.add_argument("--alpha", type=float, default=0.5)
     pm.add_argument("--k", type=int, default=1)
@@ -868,7 +850,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None:
             args.seed = _env_seed()
-        return args.func(args)
+        run = Run(args)
+        args.func(args, run)
+        run.finish()
+        return 0
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

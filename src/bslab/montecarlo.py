@@ -187,7 +187,8 @@ def run_batches(
 ) -> BatchData:
     """Run independent replicas and stack their batch frequencies.
 
-    `budget` counts post-burn-in updates per replica; burn-in adds
+    `budget` counts post-burn-in updates per replica, of which each
+    replica runs the multiple of n_batches at or below it; burn-in adds
     ceil(burn_frac * budget) more.
     """
     if flavor not in FLAVORS:
@@ -202,6 +203,8 @@ def run_batches(
         raise ValueError("budget smaller than the number of batches")
     if n_replicas < 1:
         raise ValueError("need at least one replica")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be at least 1")
     if seed is None:
         raise ValueError("seed is required")
     burn_in = math.ceil(burn_frac * budget)
@@ -219,7 +222,8 @@ def run_batches(
     notes: list[str] = []
     for r in results:
         notes.extend(r[2])
-    return BatchData(bits, hist, g.num_vertices, n_replicas, flavor, budget, tuple(notes))
+    updates = (budget // n_batches) * n_batches
+    return BatchData(bits, hist, g.num_vertices, n_replicas, flavor, updates, tuple(notes))
 
 
 def _t_estimate(values, total_budget: int, notes: tuple[str, ...]) -> Estimate:

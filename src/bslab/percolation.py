@@ -338,6 +338,7 @@ def contour_bounds(N: int, theta: float, h: float, K: int) -> ContourReport:
         raise ValueError("h must lie in (0, 1)")
     if not (8.0 / 9.0 < theta <= 1.0):
         raise ValueError("contour bounds need theta > 8/9")
+    _check_strip(N, K * N)
     one = 1.0 - theta
     short = one
     for k in range(2, math.floor(h * N) + 1):

@@ -51,8 +51,14 @@ def test_stick_good_lb_formula():
     (lambda L: theta_4block(L, 0.1, 2), math.nan),
     (lambda L: theta_4block_highprec(L, 0.1, 2), math.nan),
     (lambda L: theta_4block_highprec(L, 0.1, 2), -1.0),
+    (lambda L: stick_good_lb(L, 0.9, 2), math.inf),
+    (lambda L: block2_nice_lb(L, 0.1, 2), math.inf),
+    (lambda L: theta_4block(L, 0.1, 2), math.inf),
+    (lambda L: theta_4block_highprec(L, 0.1, 2), math.inf),
 ], ids=["stick_good_lb-nan", "block2_nice_lb-nan", "theta_4block-nan",
-        "theta_4block_highprec-nan", "theta_4block_highprec-negative"])
+        "theta_4block_highprec-nan", "theta_4block_highprec-negative",
+        "stick_good_lb-inf", "block2_nice_lb-inf", "theta_4block-inf",
+        "theta_4block_highprec-inf"])
 def test_window_bounds_refuse_an_L_that_is_not_nonnegative(bound, L):
     with pytest.raises(ValueError, match="L >= 0|L must be nonnegative"):
         bound(L)
@@ -200,6 +206,16 @@ def test_q0_highprec_agrees():
     for d in (2, 4):
         assert abs(q0(d) - q0_highprec(d)) < 1e-10
     assert abs(q0_highprec(2, dps=60) - q0_d2_closed_form()) < 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 0, -1])
+def test_q0_highprec_refuses_a_degree_below_two(d):
+    """The high-precision bisection refuses the degrees q0 refuses, with q0's
+    message, instead of returning 1.0 (d = 1) or dividing by zero (d = -1)."""
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        q0(d)
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        q0_highprec(d, dps=20)
 
 
 @pytest.mark.parametrize("dps", [0, -3])

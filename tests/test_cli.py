@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bslab
@@ -20,7 +21,13 @@ from bslab.blocks import (
 from bslab.bounds import FORMULAS, choose_h, hat_L, q0_highprec, tilde_L
 from bslab.cli import main
 from bslab.drift import verify_all_bounds
-from bslab.dynamics import ModelParams, random_configuration, replay, sample_graphical
+from bslab.dynamics import (
+    ModelParams,
+    classical_fitness_samples,
+    random_configuration,
+    replay,
+    sample_graphical,
+)
 from bslab.exact import build_kernel, marginals, stationary
 from bslab.graphs import chain_cover, closed_neighbourhood, parse_graph_spec, shortest_path
 from bslab.montecarlo import (
@@ -200,6 +207,29 @@ def test_simulate_embedded(tmp_path):
     snaps = read_csv(tmp_path / "snapshots.csv")
     assert snaps[0] == ["step", "configuration"]
     assert [r[0] for r in snaps[1:]] == ["10", "20", "30", "40", "50"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["q0", "--d", "2"],
+    ["q0", "--d", "3", "--dps", "20"],
+    ["theta", "--L", "14", "--p", "0.0015", "--d", "2"],
+], ids=["q0", "q0-dps", "theta"])
+def test_print_only_commands_write_nothing(tmp_path, capsys, argv):
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_without_files_still_records_its_run(tmp_path):
+    """An embedded run without snapshots writes no CSV, but its seed and
+    arguments still go into the manifest."""
+    assert main(["simulate", "--graph", "cycle:5", "--p", "0.4", "--seed", "2",
+                 "--flavor", "embedded", "--steps", "20", "--out", str(tmp_path / "run")]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json"]
+    man = read_manifest(tmp_path / "run")
+    assert man["command"] == "simulate"
+    assert man["seed"] == 2
+    assert man["outputs"] == []
 
 
 def test_drift_cli(tmp_path, capsys):
@@ -397,6 +427,8 @@ def test_mc_rejects_vertex_before_sampling(tmp_path, capsys, monkeypatch):
     (["--d", "2", "--q", "0.3"], {"tilde_L"}),
     (["--d", "1", "--p", "0.01"], {"q0"}),
     (["--d", "2", "--p", "0.1", "--L", "nan", "--a", "2"],
+     {"stick_good_lb", "block2_nice_lb", "theta_4block"}),
+    (["--d", "2", "--p", "0.1", "--L", "inf", "--a", "2"],
      {"stick_good_lb", "block2_nice_lb", "theta_4block"}),
 ])
 def test_formulas_skip_only_formulas_outside_their_domain(tmp_path, capsys, argv, skipped):
@@ -615,6 +647,16 @@ _BAD_WINDOWS = [("independence", "nan"), ("independence", "inf"), ("two", "inf")
     ["theta", "--L", "nan", "--p", "0.1", "--d", "2"],
     *[["blocks", "--graph", "cycle:16", "--p", "0.01", "--flavor", flavor, "--L", L, "--seed", "1"]
       for flavor, L in _BAD_WINDOWS],
+    ["theta", "--L", "inf", "--p", "0.1", "--d", "2"],
+    *[["q0", "--d", d, "--dps", "20"] for d in ("1", "0", "-1")],
+    ["q0", "--d", "3", "--closed-form"],
+    *[["percolate", "--mode", "contour", "--N", N, "--K", K, "--theta", "0.95"]
+      for N, K in (("-2", "3"), ("0", "3"), ("4", "-3"))],
+    *[["mc", "--graph", "cycle:6", "--p", "0.5", "--budget", "1000", "--replicas", replicas,
+       "--threads", "0", "--seed", "1"] for replicas in ("4", "1")],
+    ["drift", "--graph", "cycle:6"],
+    ["drift", "--graph", "cycle:6", "--p", "0.5", "--q", "0.5"],
+    ["blocks", "--graph", "complete:5", "--p", "0.01", "--flavor", "four", "--seed", "1"],
 ], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
         "blocks-not-a-chain", "chains-u-negative", "chains-v-past-end", "blocks-base-negative",
         "blocks-a-size-negative", "blocks-two-one-site", "percolate-no-levels",
@@ -622,12 +664,33 @@ _BAD_WINDOWS = [("independence", "nan"), ("independence", "inf"), ("two", "inf")
         "simulate-horizon-nan", "simulate-horizon-inf", "simulate-steps-negative",
         "simulate-snapshot-every-negative", "simulate-snapshot-every-nan",
         "formulas-degree-zero", "theta-L-nan",
-        *[f"blocks-{flavor}-L-{L}" for flavor, L in _BAD_WINDOWS]])
+        *[f"blocks-{flavor}-L-{L}" for flavor, L in _BAD_WINDOWS],
+        "theta-L-inf", "q0-dps-d-1", "q0-dps-d-0", "q0-dps-d-negative", "q0-closed-form-d-3",
+        "percolate-contour-N-negative", "percolate-contour-N-zero", "percolate-contour-K-negative",
+        "mc-threads-zero", "mc-threads-zero-one-replica", "drift-neither-p-nor-q",
+        "drift-both-p-and-q", "blocks-four-no-chain"])
 def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config,seed_env,message", [
+    ("[]", None, "config file must hold a JSON object"),
+    (None, "seven", "BSLAB_SEED must be an integer"),
+], ids=["config-not-an-object", "seed-env-not-an-integer"])
+def test_bad_config_or_seed_env_leaves_no_directory(tmp_path, capsys, monkeypatch,
+                                                     config, seed_env, message):
+    argv = ["mc", "--graph", "cycle:6", "--p", "0.5", "--out", str(tmp_path / "run")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if seed_env is not None:
+        monkeypatch.setenv("BSLAB_SEED", seed_env)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flavor", ["stick", "two", "four", "independence"])
@@ -789,6 +852,25 @@ def test_theorem_preset_csv_matches_the_library(tmp_path, name, csv_name, oracle
     write_rows_oracle(path, ("functional", "param", "estimate", "stderr", "ci_lo", "ci_hi",
                              "n_batches", "total_budget", "notes"), oracle(seed))
     assert (tmp_path / "run" / csv_name).read_bytes() == path.read_bytes()
+
+
+def test_classic_preset_csv_matches_the_library(tmp_path, capsys):
+    """classic_eta_c writes the mass of the classical model's fitness
+    samples on cycle:1000 in 50 equal bins of [0, 1]."""
+    seed = 2
+    assert main(["preset", "--name", "classic_eta_c", "--seed", str(seed),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out == "preset classic_eta_c: wrote classic.csv\n"
+    values = classical_fitness_samples(parse_graph_spec("cycle:1000"), steps=400_000,
+                                       burn_in=100_000, sample_every=2_000, seed=seed)
+    edges = np.linspace(0.0, 1.0, 51)
+    hist, _ = np.histogram(values, bins=edges)
+    oracle = tmp_path / "oracle.csv"
+    write_rows_oracle(oracle, ("bin_lo", "bin_hi", "mass"),
+                      [_float_cells(lo, hi, m / len(values))
+                       for lo, hi, m in zip(edges, edges[1:], hist)])
+    assert (tmp_path / "run" / "classic.csv").read_bytes() == oracle.read_bytes()
+    assert read_manifest(tmp_path / "run")["command"] == "preset:classic_eta_c"
 
 
 def test_percolate_good_matches_the_library(tmp_path, capsys):

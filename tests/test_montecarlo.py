@@ -187,3 +187,27 @@ def test_run_batches_refuses_a_bad_burn_frac_before_drawing(monkeypatch, burn_fr
     monkeypatch.setattr(montecarlo, "_replica_batches", no_draws)
     with pytest.raises(ValueError, match="burn_frac"):
         run_batches(generate("cycle", 5), ModelParams(p=0.3), 1000, 1, burn_frac=burn_frac)
+
+
+@pytest.mark.parametrize("n_replicas", [1, 4])
+@pytest.mark.parametrize("n_jobs", [0, -1])
+def test_run_batches_refuses_fewer_than_one_job_before_drawing(monkeypatch, n_replicas, n_jobs):
+    """n_jobs < 1 is refused with one message whether or not the pool would
+    start; one replica used to run serially and accept it."""
+    def no_draws(*args):
+        raise AssertionError("replicas ran before the checks")
+
+    monkeypatch.setattr(montecarlo, "_replica_batches", no_draws)
+    with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+        run_batches(generate("cycle", 5), ModelParams(p=0.3), 1000, 1,
+                    n_replicas=n_replicas, n_jobs=n_jobs)
+
+
+def test_uneven_budget_reports_the_updates_run():
+    """16 batches of 1000 // 16 = 62 updates run 992 per replica, not 1000."""
+    bd = run_batches(generate("cycle", 6), ModelParams(p=0.3), 1000, 5, n_replicas=4)
+    assert bd.budget == 992
+    for est in (marginal_from_batches(bd, 0), expected_zeros_from_batches(bd),
+                zeros_tail_from_batches(bd, 0)):
+        assert est.n_batches == 64
+        assert est.total_budget == 3968

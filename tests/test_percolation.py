@@ -239,6 +239,13 @@ def test_contour_bounds_shape():
         contour_bounds(10, 0.95, 1.0, 3)
 
 
+@pytest.mark.parametrize("N,K", [(-2, 3), (0, 3), (4, -3), (4, 0)])
+def test_contour_bounds_refuse_an_empty_strip(N, K):
+    """contour_bounds checks its strip like the other entry points do."""
+    with pytest.raises(ValueError, match="need N >= 1 and levels >= 1"):
+        contour_bounds(N, 0.95, 0.75, K)
+
+
 def test_contour_bounds_improve_with_theta():
     reps = [contour_bounds(12, t, 0.6, 3) for t in (0.91, 0.95, 0.99, 0.999)]
     shorts = [r.short_sum for r in reps]
