@@ -93,6 +93,10 @@ class Block2:
         _check_window_length(self.L)
 
     @property
+    def sites(self) -> tuple[int, int]:
+        return (self.x, self.y)
+
+    @property
     def window(self) -> tuple[float, float]:
         return ((self.level - 1) * self.L, self.level * self.L)
 
@@ -240,9 +244,15 @@ def _is_nice(gc: GraphicalConstruction, spec: _NiceSpec, window) -> bool:
     return True
 
 
-def block2_is_nice(g: Graph, gc: GraphicalConstruction, block: Block2) -> bool:
-    """Ring at least once on both pair sticks, plus all goodness demands."""
-    return _is_nice(gc, _nice_spec(g, (block.x, block.y)), block.window)
+def _block_is_nice(g: Graph, gc: GraphicalConstruction, block: Block2 | Block4) -> bool:
+    """All niceness conditions of a pair block or a four-block on one
+    realization: every block stick rings at least once, every goodness
+    demand holds, and a four-block's rings occur in increasing order along
+    a->b->c and along e->c->b."""
+    return _is_nice(gc, _nice_spec(g, block.sites), block.window)
+
+
+block2_is_nice = block4_is_nice = _block_is_nice
 
 
 @dataclass(frozen=True)
@@ -260,35 +270,28 @@ class PropagationResult:
     top: tuple[int, ...] | None
 
 
-def _propagation(
+def _propagation_check(
     g: Graph,
     gc: GraphicalConstruction,
-    window: tuple[float, float],
-    watched: tuple[int, ...],
-    nice: bool,
+    block: Block2 | Block4,
     config_bottom: np.ndarray,
 ) -> PropagationResult:
+    """A nice block with a bottom zero at one of its two ends (x, y for a
+    pair, a, e for a four-block) must end with both ends zero."""
+    nice = _block_is_nice(g, gc, block)
     cb = np.asarray(config_bottom, dtype=np.uint8)
     if cb.shape != (g.num_vertices,):
         raise ValueError("bottom configuration size does not match graph")
+    watched = (block.sites[0], block.sites[-1])
     bottom = tuple(int(cb[v]) for v in watched)
-    applicable = nice and any(b == 0 for b in bottom)
-    if not applicable:
+    if not (nice and 0 in bottom):
         return PropagationResult(nice, False, None, bottom, None)
-    res = replay(g, cb, gc, collect_log=False, window=window)
+    res = replay(g, cb, gc, collect_log=False, window=block.window)
     top = tuple(int(res.final[v]) for v in watched)
     return PropagationResult(nice, True, all(b == 0 for b in top), bottom, top)
 
 
-def block2_proposition_check(
-    g: Graph,
-    gc: GraphicalConstruction,
-    block: Block2,
-    config_bottom: np.ndarray,
-) -> PropagationResult:
-    """Nice block with a bottom zero at x or y must end with both zero."""
-    nice = block2_is_nice(g, gc, block)
-    return _propagation(g, gc, block.window, (block.x, block.y), nice, config_bottom)
+block2_proposition_check = block4_propagation_check = _propagation_check
 
 
 def _has_increasing_rings(rows, t0: float, t1: float) -> bool:
@@ -311,16 +314,6 @@ def _rings_in_order(rows, t0: float, t1: float) -> np.ndarray:
     for ts in rows:
         t = np.where(ts > t[:, None], ts, np.inf).min(axis=1, initial=np.inf)
     return t <= t1
-
-
-def block4_is_nice(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
-    """All seven four-block conditions on one realization.
-
-    Every block stick rings at least once; the four explicit goodness
-    sets plus the adjacency-derived ones all hold; and rings occur in
-    increasing order along a->b->c and along e->c->b.
-    """
-    return _is_nice(gc, _nice_spec(g, block.sites), block.window)
 
 
 def _chunk_is_nice(chunk, col: dict[int, int], spec: _NiceSpec, window) -> np.ndarray:
@@ -363,18 +356,6 @@ def block4_ring_pattern_sufficient(gc: GraphicalConstruction, block: Block4) -> 
         and rings_in(c, cuts[1], cuts[2])
         and rings_in(c, cuts[2], cuts[3])
     )
-
-
-def block4_propagation_check(
-    g: Graph,
-    gc: GraphicalConstruction,
-    block: Block4,
-    config_bottom: np.ndarray,
-) -> PropagationResult:
-    """Nice block with a zero at an extreme must end with both extremes zero."""
-    nice = block4_is_nice(g, gc, block)
-    a, _, _, e = block.sites
-    return _propagation(g, gc, block.window, (a, e), nice, config_bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +586,9 @@ class BlockGrid:
 
     Level n covers chain positions {2k, 2k+1} when n is even and
     {2k-1, 2k} when n is odd, over the time window (nL, (n+1)L].  Each
-    block shares one position with each of its two descendants.
+    block shares one position with each of its two descendants.  Block
+    ((m + 1) // 2, n) is chain_to_percolation's two_block cell at strip
+    site m, the pair at positions (m, m + 1).
     """
 
     chain: tuple[int, ...]
@@ -629,7 +612,14 @@ class BlockGrid:
         return Block2(self.chain[lo], self.chain[hi], n + 1, self.L)
 
 
-_FLAVORS = ("two_block", "four_block")
+# Each flavour's strip cells as (stride, width, cell): strip site m at
+# level k is the block cell(chain, m, k, L) over the width chain positions
+# from stride m, in the window (k L, (k + 1) L].  A two_block cell is the
+# pair at chain positions (m, m + 1).
+_STRIP_CELLS = {
+    "two_block": (1, 2, lambda chain, m, k, L: Block2(chain[m], chain[m + 1], k + 1, L)),
+    "four_block": (_STRIDE, 4, _grid_cell),
+}
 
 
 def chain_to_percolation(
@@ -641,35 +631,26 @@ def chain_to_percolation(
 ) -> StripField:
     """Bond field on the strip induced by block niceness along a chain.
 
-    A bond is open iff its target block (two_block: the descendant pair
-    block; four_block: the destination grid cell) is nice on this
+    A bond is open iff its target cell (see _STRIP_CELLS) is nice on this
     realization.  Bonds whose target leaves the chain stay closed, which
     also covers the strip's clipped wall bonds.
     """
     chain = tuple(int(v) for v in chain)
-    if flavor not in _FLAVORS:
-        raise ValueError(f"flavor must be one of {_FLAVORS}")
+    if flavor not in _STRIP_CELLS:
+        raise ValueError(f"flavor must be one of {tuple(_STRIP_CELLS)}")
     _check_window_length(L)
     levels = int(math.floor(gc.horizon / L + _EPS)) - 1
     if levels < 1:
         raise ValueError("horizon too short: need at least two block windows")
-    if flavor == "two_block":
-        N = (len(chain) - 2) // 2
-        if N < 1:
-            raise ValueError("chain too short for a two-site block strip")
-        grid = BlockGrid(chain, L)
+    stride, width, cell = _STRIP_CELLS[flavor]
+    N = (len(chain) - width) // (2 * stride)
+    if N < 1:
+        raise ValueError(f"chain too short for a {flavor.removesuffix('_block')}-site block strip")
 
-        @functools.cache
-        def nice(m: int, level: int) -> bool:
-            return block2_is_nice(g, gc, grid.block((m + 1) // 2, level))
-    else:
-        N = (len(chain) - 4) // (2 * _STRIDE)
-        if N < 1:
-            raise ValueError("chain too short for a four-site block strip")
+    @functools.cache
+    def nice(m: int, level: int) -> bool:
+        return _block_is_nice(g, gc, cell(chain, m, level, L))
 
-        @functools.cache
-        def nice(m: int, level: int) -> bool:
-            return block4_is_nice(g, gc, _grid_cell(chain, m, level, L))
     bl, br = [], []
     for n in range(levels):
         ms = sites_at_level(N, n)

@@ -8,6 +8,7 @@ of a zero, q = 1 - p, and d the (maximum) degree.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
@@ -67,7 +68,7 @@ def block2_nice_lb(L: float, p: float, d: int) -> float:
     _check_pd(p, d)
     _check_L(L)
     q = 1.0 - p
-    val = math.exp(-2.0 * L * (d - 1) * p) * (math.exp(-L * (1.0 - q * q)) - math.exp(-L)) ** 2
+    val = math.exp(-2.0 * (L * (d - 1) * p)) * (math.exp(-L * (1.0 - q * q)) - math.exp(-L)) ** 2
     return min(max(val, 0.0), 1.0)
 
 
@@ -85,13 +86,30 @@ def theta_4block(L: float, p: float, d: int) -> float:
     (exp(L q^2 / 3) - 1)^2 (exp(L q^3 / 3) - 1)^4."""
     _check_pd(p, d)
     _check_L(L)
-    return _theta_4block(L, 1.0 - p, d, math)
+    q = 1.0 - p
+    try:
+        val = _theta_4block(L, q, d, math)
+    except OverflowError:
+        val = math.inf
+    if L == 0.0 or sys.float_info.min <= val < math.inf:
+        return val
+    # The product under- or overflowed on the way.  Taking exp(x) out of
+    # each expm1(x) leaves the same formula as
+    # exp(-L p (4(d+1) - 8p + 2p^2)) (1 - exp(-L q^2/3))^2 (1 - exp(-L q^3/3))^4,
+    # whose exponents no longer cancel, so it is summed in log space.
+    log_val = -L * p * (4 * (d + 1) - 8 * p + 2 * p * p)
+    return math.exp(log_val + 2 * _log1mexp(L * q * q / 3) + 4 * _log1mexp(L * q**3 / 3))
 
 
 def _theta_4block(L, q, d: int, num):
     """theta_4block's formula over the exp/expm1 of `num` (math or mpmath)."""
     coeff = 2 * q**3 / 3 + 4 * q * q / 3 + (4 * d - 6) * q - (4 * d - 2)
     return num.exp(coeff * L) * num.expm1(L * q * q / 3) ** 2 * num.expm1(L * q**3 / 3) ** 4
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x >= 0; -inf at x = 0."""
+    return math.log(-math.expm1(-x)) if x > 0.0 else -math.inf
 
 
 def tilde_L(p: float, d: int) -> float:
@@ -199,13 +217,19 @@ def _check_q0_d(d: int) -> None:
         raise ValueError("d must be at least 2")
 
 
+def _check_q0_bracket(lo, d: int) -> None:
+    """The bisection's low end 1/(d+1) + 1e-9 must see a nonempty window;
+    above d = 1176, q0 - 1/(d+1) is below that offset."""
+    if h_window(lo, d) is None:
+        raise ValueError(f"the weight window is empty at 1/(d+1) + 1e-9, so q0 is not resolved for d = {d}")
+
+
 def q0(d: int) -> float:
     """Largest q below which the weight window is nonempty (bisection)."""
     _check_q0_d(d)
     lo = 1.0 / (d + 1) + 1e-9
     hi = 1.0 - 1e-12
-    if h_window(lo, d) is None:
-        raise RuntimeError("window unexpectedly empty just above 1/(d+1)")
+    _check_q0_bracket(lo, d)
     if h_window(hi, d) is not None:
         raise RuntimeError("window unexpectedly nonempty near q=1")
     while hi - lo > _Q0_TOL:
@@ -287,6 +311,7 @@ def q0_highprec(d: int, dps: int = 40) -> float:
     with mp.workdps(dps):
         lo = mp.mpf(1) / (d + 1) + mp.mpf("1e-9")
         hi = mp.mpf(1) - mp.mpf("1e-20")
+        _check_q0_bracket(lo, d)
         for _ in range(200):
             mid = (lo + hi) / 2
             if h_window(mid, d) is None:

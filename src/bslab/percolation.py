@@ -325,6 +325,10 @@ class ContourReport:
     decrease_threshold: int | None  # long_term falls monotonically from here on
 
 
+# k 3^k is a finite double up to this k
+_SHORT_DIRECT_TOP = 640
+
+
 def contour_bounds(N: int, theta: float, h: float, K: int) -> ContourReport:
     """Numeric shape of the two contour-count bounds.
 
@@ -341,14 +345,22 @@ def contour_bounds(N: int, theta: float, h: float, K: int) -> ContourReport:
     _check_strip(N, K * N)
     one = 1.0 - theta
     short = one
-    for k in range(2, math.floor(h * N) + 1):
+    top = math.floor(h * N)
+    for k in range(2, min(top, _SHORT_DIRECT_TOP) + 1):
         short += k * 3.0**k * one ** (k / 2.0)
+    if one > 0.0:  # the later terms k (3 sqrt(1-theta))^k in log space; zero at theta = 1
+        log_ratio = math.log(3.0) + 0.5 * math.log(one)
+        for k in range(_SHORT_DIRECT_TOP + 1, top + 1):
+            short += math.exp(math.log(k) + k * log_ratio)
     if one == 0.0:
         long_term = 0.0
         alpha = math.inf
     else:
         alpha = 0.5 * h * math.log(1.0 / one) - (1.0 - h) * math.log(3.0)
-        long_term = N * N * math.exp(-alpha * N)
+        try:
+            long_term = N * N * math.exp(-alpha * N)
+        except OverflowError:  # alpha < 0: a vacuous bound, which side_ok flags
+            long_term = math.inf
     ok = side_condition_ok(theta, h)
     # N^2 e^{-aN} decreases once 2 ln(1+1/N) < a, guaranteed by N > 2/a
     thr = None

@@ -337,6 +337,27 @@ def test_propagation_vacuous_without_bottom_zero():
     assert res.bottom == (1, 1)
 
 
+def test_propagation_watches_the_two_block_ends():
+    """The watched sites are a block's two ends, (x, y) for a pair and
+    (a, e) for a four-block, so a lone bottom zero at y or at e applies."""
+    g4 = generate("cycle", 16)
+    blk4 = Block4(tuple(range(12)), 0, 0.0, 1.0)
+    gc4 = make_gc(g4, 1.0, {0: [(0.1, {})], 1: [(0.2, {}), (0.4, {})], 2: [(0.3, {})], 3: [(0.05, {})]})
+    g2 = generate("cycle", 6)
+    blk2 = Block2(1, 2, 1, 1.0)
+    gc2 = make_gc(g2, 1.0, {1: [(0.3, {})], 2: [(0.5, {})], 0: [(0.7, {0: 1, 5: 1})]})
+    for check, g, gc, blk, end in (
+        (block4_propagation_check, g4, gc4, blk4, 3),
+        (block2_proposition_check, g2, gc2, blk2, 2),
+    ):
+        bottom = np.ones(g.num_vertices, dtype=np.uint8)
+        bottom[end] = 0
+        res = check(g, gc, blk, bottom)
+        assert res.nice and res.applicable and res.passed is True
+        assert res.bottom == (1, 0)
+        assert res.top == (0, 0)
+
+
 def test_overlapping_blocks_positively_dependent():
     g = generate("cycle", 12)
     params = ModelParams(p=0.1)

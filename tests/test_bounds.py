@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from bslab.bounds import (
     T1,
     T2,
 )
+from bslab.percolation import contour_bounds
 
 
 def test_stick_good_lb_formula():
@@ -216,6 +218,76 @@ def test_q0_highprec_refuses_a_degree_below_two(d):
         q0(d)
     with pytest.raises(ValueError, match="d must be at least 2"):
         q0_highprec(d, dps=20)
+
+
+@pytest.mark.parametrize("d", [1177, 2000])
+def test_q0_refuses_a_degree_past_its_bracket(d):
+    """Above d = 1176, q0 - 1/(d+1) is below the bracket's 1e-9 offset, so
+    the window is empty at the low end: both bisections refuse instead of
+    raising RuntimeError (q0) or returning the low end (q0_highprec)."""
+    with pytest.raises(ValueError, match="q0 is not resolved"):
+        q0(d)
+    with pytest.raises(ValueError, match="q0 is not resolved"):
+        q0_highprec(d, dps=30)
+    assert q0(1176) == pytest.approx(q0_highprec(1176, dps=30), abs=1e-12)
+
+
+def test_theta_4block_past_the_double_range():
+    """Where exp(coeff L) underflows (L from about 283) or expm1(...)**4
+    overflows (from about 740), theta_4block evaluates its formula in log
+    space: it agrees with the mpmath path while that is a normal double and
+    is 0.0 beyond."""
+    for L in (300.0, 500.0):
+        hp = theta_4block_highprec(L, 0.1, 2)
+        assert hp > 1e-300
+        assert theta_4block(L, 0.1, 2) == pytest.approx(hp, rel=1e-12)
+    for L in (800.0, 3000.0, 1e308):
+        assert theta_4block(L, 0.1, 2) == 0.0
+    # near p = 0 the exponents of the three factors cancel, so the log-space
+    # sum must not add them up separately
+    for L, p, d in itertools.product([10.0**k for k in range(3, 309, 5)], (1e-300, 1e-17, 1e-12), (2, 10**6)):
+        assert 0.0 <= theta_4block(L, p, d) <= 1.0, (L, p, d)
+
+
+def test_block2_nice_lb_at_the_largest_L():
+    """-2 L overflowed to -inf and met d - 1 = 0 in a NaN."""
+    assert block2_nice_lb(1e308, 0.1, 1) == 0.0
+    assert block2_nice_lb(1e308, 0.1, 2) == 0.0
+
+
+def test_extreme_inputs_give_a_number_or_a_value_error():
+    """Every formula of FORMULAS returns a float that is not NaN, or raises
+    ValueError, over a grid of extreme inputs; contour_bounds never returns
+    NaN over its own grid."""
+    grid = {
+        "L": (0.0, 1e-300, 1e-8, 0.5, 5.0, 50.0, 300.0, 740.0, 3000.0, 1e6, 1e308),
+        "p": (1e-300, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-12),
+        "d": (1, 2, 3, 10, 1176, 1177, 10**6),
+        "a": (0, 1, 3, 50),
+    }
+    bad = []
+    for name, f in FORMULAS.items():
+        axes = [grid["p"] if k == "q" else grid[k] for k in f.inputs]
+        for values in itertools.product(*axes):
+            inputs = {k: 1.0 - v if k == "q" else v for k, v in zip(f.inputs, values)}
+            try:
+                value = evaluate_formula(name, **inputs).value
+            except ValueError:
+                continue
+            except Exception as exc:  # noqa: BLE001 -- any other exception is a finding
+                bad.append((name, inputs, type(exc).__name__))
+                continue
+            if not isinstance(value, float) or math.isnan(value):
+                bad.append((name, inputs, value))
+    assert bad == []
+    for N, theta, h in itertools.product(
+        (1, 6, 100, 854, 855, 862, 863, 2000, 10**5),
+        (8 / 9 + 1e-12, 0.9, 0.95, 0.99, 1 - 1e-12, 1.0),
+        (0.001, 0.25, 0.5, 0.75, 0.999),
+    ):
+        rep = contour_bounds(N, theta, h, 1)
+        for value in (rep.short_sum, rep.long_term, rep.series_ratio):
+            assert not math.isnan(value), (N, theta, h)
 
 
 @pytest.mark.parametrize("dps", [0, -3])

@@ -18,7 +18,7 @@ from bslab.blocks import (
     sample_block4_stats,
     sample_stick_stats,
 )
-from bslab.bounds import FORMULAS, choose_h, hat_L, q0_highprec, tilde_L
+from bslab.bounds import FORMULAS, choose_h, hat_L, q0_highprec, theta_4block, tilde_L
 from bslab.cli import main
 from bslab.drift import verify_all_bounds
 from bslab.dynamics import (
@@ -38,7 +38,7 @@ from bslab.montecarlo import (
     tail_fit_from_batches,
     zeros_tail_from_batches,
 )
-from bslab.percolation import LevelSet, prob_good_level, sites_at_level
+from bslab.percolation import LevelSet, contour_bounds, prob_good_level, sites_at_level
 from bslab.rng import substream
 from oracle_utils import (
     block_stats_rows_oracle,
@@ -430,6 +430,7 @@ def test_mc_rejects_vertex_before_sampling(tmp_path, capsys, monkeypatch):
      {"stick_good_lb", "block2_nice_lb", "theta_4block"}),
     (["--d", "2", "--p", "0.1", "--L", "inf", "--a", "2"],
      {"stick_good_lb", "block2_nice_lb", "theta_4block"}),
+    (["--d", "2000", "--p", "0.5"], {"tilde_L", "q0"}),
 ])
 def test_formulas_skip_only_formulas_outside_their_domain(tmp_path, capsys, argv, skipped):
     rc = main(["formulas", *argv, "--out", str(tmp_path)])
@@ -657,6 +658,8 @@ _BAD_WINDOWS = [("independence", "nan"), ("independence", "inf"), ("two", "inf")
     ["drift", "--graph", "cycle:6"],
     ["drift", "--graph", "cycle:6", "--p", "0.5", "--q", "0.5"],
     ["blocks", "--graph", "complete:5", "--p", "0.01", "--flavor", "four", "--seed", "1"],
+    ["q0", "--d", "2000"],
+    ["q0", "--d", "2000", "--dps", "30"],
 ], ids=["percolate-one-sample", "percolate-theta", "exact-too-large", "simulate-init-length",
         "blocks-not-a-chain", "chains-u-negative", "chains-v-past-end", "blocks-base-negative",
         "blocks-a-size-negative", "blocks-two-one-site", "percolate-no-levels",
@@ -668,7 +671,7 @@ _BAD_WINDOWS = [("independence", "nan"), ("independence", "inf"), ("two", "inf")
         "theta-L-inf", "q0-dps-d-1", "q0-dps-d-0", "q0-dps-d-negative", "q0-closed-form-d-3",
         "percolate-contour-N-negative", "percolate-contour-N-zero", "percolate-contour-K-negative",
         "mc-threads-zero", "mc-threads-zero-one-replica", "drift-neither-p-nor-q",
-        "drift-both-p-and-q", "blocks-four-no-chain"])
+        "drift-both-p-and-q", "blocks-four-no-chain", "q0-d-2000", "q0-dps-d-2000"])
 def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
@@ -952,3 +955,52 @@ def test_q0_refuses_bad_digits_and_mixed_modes(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("L", ["3000", "300"])
+def test_theta_past_the_double_range(tmp_path, capsys, L):
+    """`theta` prints the log-space value where the direct product under- or
+    overflows: 6.55e-147 at L 300 (was 0.0), 0.0 at L 3000 (was an
+    OverflowError traceback)."""
+    assert main(["theta", "--L", L, "--p", "0.1", "--d", "2", "--out", str(tmp_path / "run")]) == 0
+    want = theta_4block(float(L), 0.1, 2)
+    assert capsys.readouterr().out == f"{want!r}\n"
+    assert want > 0.0 or L == "3000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "2", "--p", "0.1", "--L", "3000", "--a", "2"],
+    ["--d", "1", "--p", "0.1", "--L", "1e308"],
+], ids=["theta-L-3000", "block2-d1-L-1e308"])
+def test_formulas_past_the_double_range(tmp_path, capsys, argv):
+    """`formulas` prints every formula that is defined at a huge L, with
+    the two window bounds at 0.0, no NaN and no traceback."""
+    assert main(["formulas", *argv, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    rows = {r[0]: r[2] for r in read_csv(tmp_path / "formulas.csv")[1:]}
+    assert rows["block2_nice_lb"] == rows["theta_4block"] == "0.0"
+
+
+def test_blocks_four_bound_past_the_double_range(tmp_path, capsys):
+    """The four-block analytic bound at L 1e6 is 0.0, not an OverflowError."""
+    assert main(["blocks", "--graph", "cycle:16", "--p", "0.01", "--seed", "1", "--flavor", "four",
+                 "--L", "1e6", "--n-samples", "10", "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out.endswith(", analytic lb 0.0\n")
+
+
+@pytest.mark.parametrize("N,theta,h", [
+    ("855", "0.95", "0.75"), ("863", "0.95", "0.75"), ("700", "0.9", "0.001"),
+], ids=["short-sum-was-nan", "short-sum-overflowed", "long-term-overflowed"])
+def test_percolate_contour_past_the_double_range(tmp_path, capsys, N, theta, h):
+    """The contour sums print the library's finite short sum and, where the
+    side condition fails, an infinite long term: no nan and no traceback."""
+    out = tmp_path / "run"
+    assert main(["percolate", "--mode", "contour", "--N", N, "--theta", theta, "--h", h,
+                 "--out", str(out)]) == 0
+    rep = contour_bounds(int(N), float(theta), float(h), 3)
+    assert np.isfinite(rep.short_sum)
+    side = "ok" if rep.side_ok else "FAILS"
+    assert capsys.readouterr().out == f"short {rep.short_sum!r}, long {rep.long_term!r}, side condition {side}\n"
+    assert "nan" not in (out / "percolation.csv").read_text()
+

@@ -256,6 +256,27 @@ def test_contour_bounds_improve_with_theta():
     assert perfect.short_sum == 0.0 and perfect.long_term == 0.0
 
 
+@pytest.mark.parametrize("N,theta", [(1000, 0.9), (2000, 8 / 9 + 1e-6)], ids=["theta-0.9", "theta-near-8/9"])
+def test_contour_short_sum_past_the_double_range(N, theta):
+    """From k = 641 on, k 3^k overflows a double; the log-space terms keep
+    the short sum within 1e-12 of an mpmath sum."""
+    mp = pytest.importorskip("mpmath")
+    h = 0.999
+    with mp.workdps(40):
+        one = mp.mpf(1.0 - theta)
+        ks = range(2, int(h * N) + 1)
+        want = float(one + mp.fsum(k * mp.mpf(3) ** k * one ** (mp.mpf(k) / 2) for k in ks))
+    assert contour_bounds(N, theta, h, 1).short_sum == pytest.approx(want, rel=1e-12)
+
+
+def test_contour_long_term_is_infinite_when_its_exponent_overflows():
+    """With the side condition failing, -alpha N passes exp's range: the
+    long term is an infinite, vacuous bound that side_ok flags."""
+    rep = contour_bounds(700, 0.9, 0.001, 1)
+    assert rep.long_term == np.inf
+    assert not rep.side_ok
+
+
 def test_contour_long_term_decreases_past_threshold():
     rep = contour_bounds(6, 0.97, 0.7, 3)
     if rep.decrease_threshold is not None:
