@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import block2_nice_lb, stick_good_lb, theta_4block
-from .dynamics import GraphicalConstruction, ModelParams, _graphical_chunks, replay
+from .dynamics import GraphicalConstruction, ModelParams, _check_configuration, _graphical_chunks, replay
 from .graphs import Graph, closed_neighbourhood
 from .montecarlo import Estimate, estimate_from_samples
 from .percolation import StripField, sites_at_level
@@ -136,13 +137,9 @@ def _check_window(gc: GraphicalConstruction, t0: float, t1: float) -> None:
         raise ValueError("block window extends past the construction horizon")
 
 
-def _window_rows(gc: GraphicalConstruction, x: int, t0: float, t1: float) -> tuple[int, int]:
-    ts = gc.times[x]
-    return int(ts.searchsorted(t0, side="right")), int(ts.searchsorted(t1, side="right"))
-
-
 def ring_count(gc: GraphicalConstruction, x: int, window: tuple[float, float]) -> int:
-    lo, hi = _window_rows(gc, x, window[0], window[1])
+    """Rings of x in the window (t0, t1]."""
+    lo, hi = gc.times[x].searchsorted(window, side="right").tolist()
     return hi - lo
 
 
@@ -226,21 +223,43 @@ def _stick_spec(g: Graph, base: int, A) -> _NiceSpec:
 
 def _is_nice(gc: GraphicalConstruction, spec: _NiceSpec, window) -> bool:
     """Every site's stick rings, each order of sites rings at increasing
-    times, and every stick v is req[v]-good, all inside the window."""
+    times, and every stick v is req[v]-good, all inside the window.
+
+    Ring times are Python lists, cut at the window with bisect_right (the
+    rings in (t0, t1]); an order is found greedily, each site taking its
+    earliest ring after the previous site's.  A goodness demand scans the
+    bytes of the window's mark rows for a one, and then each of its
+    columns."""
     t0, t1 = window
     _check_window(gc, t0, t1)
+    times = {}
     cuts = {}
     for v in spec.sites:
-        lo, hi = cuts[v] = _window_rows(gc, v, t0, t1)
+        ts = times[v] = gc.times[v].tolist()
+        lo, hi = cuts[v] = bisect_right(ts, t0), bisect_right(ts, t1)
         if lo == hi:
             return False
     for o in spec.orders:
-        if not _has_increasing_rings([gc.times[spec.sites[i]] for i in o], t0, t1):
-            return False
+        t = t0
+        for i in o:
+            ts = times[spec.sites[i]]
+            j = bisect_right(ts, t)
+            if j == len(ts) or ts[j] > t1:
+                return False
+            t = ts[j]
     for v, cols in spec.goods:
-        lo, hi = cuts[v] if v in cuts else _window_rows(gc, v, t0, t1)
-        if gc.marks[v][lo:hi, cols].any():  # a one proposed for a vertex of cols
-            return False
+        if v in cuts:
+            lo, hi = cuts[v]
+        else:
+            ts = gc.times[v].tolist()
+            lo, hi = bisect_right(ts, t0), bisect_right(ts, t1)
+        m = gc.marks[v]
+        rows = m[lo:hi].tobytes()
+        if 1 in rows:  # a one was proposed: is it in one of the columns?
+            w = m.shape[1]
+            for c in cols:
+                if 1 in rows[c::w]:
+                    return False
     return True
 
 
@@ -278,38 +297,26 @@ def _propagation_check(
 ) -> PropagationResult:
     """A nice block with a bottom zero at one of its two ends (x, y for a
     pair, a, e for a four-block) must end with both ends zero."""
-    nice = _block_is_nice(g, gc, block)
-    cb = np.asarray(config_bottom, dtype=np.uint8)
-    if cb.shape != (g.num_vertices,):
-        raise ValueError("bottom configuration size does not match graph")
-    watched = (block.sites[0], block.sites[-1])
-    bottom = tuple(int(cb[v]) for v in watched)
+    cb = _check_configuration(g, config_bottom)
+    sites, window = block.sites, block.window
+    nice = _is_nice(gc, _nice_spec(g, sites), window)
+    a, e = sites[0], sites[-1]
+    bottom = (int(cb[a]), int(cb[e]))
     if not (nice and 0 in bottom):
         return PropagationResult(nice, False, None, bottom, None)
-    res = replay(g, cb, gc, collect_log=False, window=block.window)
-    top = tuple(int(res.final[v]) for v in watched)
-    return PropagationResult(nice, True, all(b == 0 for b in top), bottom, top)
+    final = replay(g, cb, gc, collect_log=False, window=window).final
+    top = (int(final[a]), int(final[e]))
+    return PropagationResult(nice, True, top == (0, 0), bottom, top)
 
 
 block2_proposition_check = block4_propagation_check = _propagation_check
 
 
-def _has_increasing_rings(rows, t0: float, t1: float) -> bool:
-    """Greedy search for one ring per sorted time row, in row order, at
-    strictly increasing times inside (t0, t1]."""
-    t = t0
-    for ts in rows:
-        i = int(ts.searchsorted(t, side="right"))
-        if i >= len(ts) or ts[i] > t1:
-            return False
-        t = float(ts[i])
-    return True
-
-
 def _rings_in_order(rows, t0: float, t1: float) -> np.ndarray:
-    """_has_increasing_rings for m samples at once: rows[i] is an (m, k_i)
-    array of ring times padded with inf; the greedy step takes each
-    sample's earliest ring after its current time."""
+    """_is_nice's ring-order greedy for m samples at once: rows[i] is an
+    (m, k_i) array of ring times padded with inf, in any order within a
+    row; the greedy step takes each sample's earliest ring after its
+    current time, a minimum over the row."""
     t = np.full(len(rows[0]), float(t0))
     for ts in rows:
         t = np.where(ts > t[:, None], ts, np.inf).min(axis=1, initial=np.inf)
@@ -404,6 +411,8 @@ def _direct_stats(
     one column per stick of spec.goods in sorted vertex order.  Ring times
     of the sites' sticks are drawn only for samples that pass the count
     and goodness filters, in (sample, site) order, one uniform per ring.
+    They stay unsorted: the ring-order greedy takes a minimum over each
+    row, which no order within the row changes.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -422,10 +431,13 @@ def _direct_stats(
         if spec.orders:
             counts = ks[ok][:, ring_idx]
             kmax = int(counts.max(initial=0))
-            times = np.full(counts.shape + (kmax,), np.inf)
-            times[np.arange(kmax) < counts[:, :, None]] = L * (1.0 - rng.random(int(counts.sum())))
-            times.sort(axis=2)
-            in_order = [_rings_in_order([times[:, i] for i in o], 0.0, L) for o in spec.orders]
+            # laid out (site, sample, ring), so each site's rows are one
+            # contiguous block, and filled through the (sample, site, ring) view
+            times = np.full((len(spec.sites), len(counts), kmax), np.inf)
+            times.transpose(1, 0, 2)[np.arange(kmax) < counts[:, :, None]] = L * (
+                1.0 - rng.random(int(counts.sum()))
+            )
+            in_order = [_rings_in_order([times[i] for i in o], 0.0, L) for o in spec.orders]
             ok[ok] = np.logical_and.reduce(in_order)
         values[done : done + m] = ok
         done += m

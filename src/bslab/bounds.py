@@ -91,9 +91,10 @@ def theta_4block(L: float, p: float, d: int) -> float:
         val = _theta_4block(L, q, d, math)
     except OverflowError:
         val = math.inf
-    if L == 0.0 or sys.float_info.min <= val < math.inf:
+    if L == 0.0 or sys.float_info.min <= val <= 1.0:
         return val
-    # The product under- or overflowed on the way.  Taking exp(x) out of
+    # The product under- or overflowed on the way, or q = 1 - p rounded up
+    # so far that the bound passed 1.  Taking exp(x) out of
     # each expm1(x) leaves the same formula as
     # exp(-L p (4(d+1) - 8p + 2p^2)) (1 - exp(-L q^2/3))^2 (1 - exp(-L q^3/3))^4,
     # whose exponents no longer cancel, so it is summed in log space.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -95,13 +94,27 @@ def random_configuration(g: Graph, params: ModelParams, rng: np.random.Generator
     return (rng.random(g.num_vertices) < params.p).astype(np.uint8)
 
 
+def _check_configuration(g: Graph, config) -> np.ndarray:
+    """config as a uint8 array, refused unless it holds one 0 or 1 per
+    vertex of g: a 2 would never be resampled, and a cast would turn 0.5
+    into 0."""
+    arr = np.asarray(config)
+    if arr.shape != (g.num_vertices,):
+        raise ValueError("configuration size does not match graph")
+    if arr.dtype == np.uint8:  # the usual case: a byte scan for anything but 0 and 1
+        ok = not arr.tobytes().translate(None, b"\0\1")
+    else:
+        ok = ((arr == 0) | (arr == 1)).all()
+    if not ok:
+        raise ValueError("configuration values must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 def step_discrete(
     g: Graph, config: np.ndarray, params: ModelParams, rng: np.random.Generator
 ) -> np.ndarray:
     """One update of the embedded chain; returns a new configuration."""
-    config = np.asarray(config, dtype=np.uint8)
-    if config.shape != (g.num_vertices,):
-        raise ValueError("configuration size does not match graph")
+    config = _check_configuration(g, config)
     zeros = np.flatnonzero(config == 0)
     if len(zeros) == 0:
         v = int(rng.integers(g.num_vertices))
@@ -258,17 +271,16 @@ def _merged_events(gc: GraphicalConstruction) -> tuple[np.ndarray, np.ndarray, n
     """All events sorted by time: (times, vertices, per-vertex row index)."""
     if not gc.times:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # a few calls on whole arrays: the per-vertex pieces hold ~10 events each
-    counts = [len(t) for t in gc.times]
+    # a few calls on whole arrays: the per-vertex pieces hold ~10 events each.
+    # An event's row is its place in the concatenation minus its vertex's start.
+    counts = np.fromiter(map(len, gc.times), dtype=np.int64, count=len(gc.times))
     ts = np.concatenate(gc.times)
-    vs = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    starts = np.repeat(np.array(list(accumulate(counts[:-1], initial=0)), dtype=np.int64), counts)
-    rows = np.arange(len(ts), dtype=np.int64) - starts
     order = ts.argsort(kind="stable")
-    ts, vs, rows = ts[order], vs[order], rows[order]
+    ts = ts[order]
     if (ts[1:] == ts[:-1]).any():
         raise ValueError("coincident event times in graphical construction")
-    return ts, vs, rows
+    vs = np.arange(len(counts), dtype=np.int64).repeat(counts)[order]
+    return ts, vs, order - (counts.cumsum() - counts)[vs]
 
 
 def replay(
@@ -286,50 +298,51 @@ def replay(
     x iff x is currently zero, or the configuration is all ones under the
     `resample` semantics; otherwise it is muted.  A snapshot at time t
     reflects all events with time <= t.  With window=(t0, t1), config0 is
-    the state at t0 and only events in (t0, t1] are applied.
+    the state at t0 and only events in (t0, t1] are applied: a searchsorted
+    range of the merged, sorted event times.  config0 must hold one 0 or 1
+    per vertex.
+
+    The event loop runs on Python lists and ints, each vertex's mark rows
+    converted once per call; log entries keep the construction's mark rows
+    as arrays.
     """
     if allones not in ALLONES_SEMANTICS:
         raise ValueError(f"allones must be one of {ALLONES_SEMANTICS}")
-    config = np.asarray(config0, dtype=np.uint8)
-    if config.shape != (g.num_vertices,):
-        raise ValueError("configuration size does not match graph")
+    config = _check_configuration(g, config0)
     ts, vs, rows = _merged_events(gc)
     if window is not None:
         t0, t1 = float(window[0]), float(window[1])
         if not (0.0 <= t0 < t1 <= gc.horizon + 1e-9):
             raise ValueError("window must satisfy 0 <= t0 < t1 <= horizon")
-        keep = (ts > t0) & (ts <= t1)
-        ts, vs, rows = ts[keep], vs[keep], rows[keep]
+        lo, hi = ts.searchsorted((t0, t1), side="right").tolist()
+        ts, vs, rows = ts[lo:hi], vs[lo:hi], rows[lo:hi]
     snaps = sorted(float(s) for s in (snapshot_times if snapshot_times is not None else ()))
+    snaps.append(math.inf)  # a sentinel no event time reaches
     n = g.num_vertices
     resample = allones == "resample"
     nbhds = g.closed_neighbourhoods
-    # Python lists and ints in the event loop: indexing a numpy scalar
-    # costs more than the comparison or addition done with it
+    # indexing a numpy scalar or row costs more than the comparison or
+    # addition done with it
+    marks = [m.tolist() for m in gc.marks]
     cfg = config.tolist()
     n_ones = sum(cfg)
     log: list[tuple[float, int, bool, np.ndarray]] = []
     snapshots: list[np.ndarray] = []
-    applied = muted = 0
-    si = 0
+    applied = si = 0
     for t, x, r in zip(ts.tolist(), vs.tolist(), rows.tolist()):
-        while si < len(snaps) and snaps[si] < t:
+        while snaps[si] < t:
             snapshots.append(np.array(cfg, dtype=np.uint8))
             si += 1
         fire = cfg[x] == 0 or (resample and n_ones == n)
         if fire:
-            for y, b in zip(nbhds[x], gc.marks[x][r].tolist()):
+            for y, b in zip(nbhds[x], marks[x][r]):
                 n_ones += b - cfg[y]
                 cfg[y] = b
             applied += 1
-        else:
-            muted += 1
         if collect_log:
             log.append((t, x, fire, gc.marks[x][r]))
-    while si < len(snaps):
-        snapshots.append(np.array(cfg, dtype=np.uint8))
-        si += 1
-    return ReplayResult(np.array(cfg, dtype=np.uint8), log, snapshots, applied, muted)
+    snapshots.extend(np.array(cfg, dtype=np.uint8) for _ in snaps[si:-1])
+    return ReplayResult(np.array(cfg, dtype=np.uint8), log, snapshots, applied, len(ts) - applied)
 
 
 def classical_fitness_samples(

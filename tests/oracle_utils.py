@@ -22,6 +22,7 @@ from bslab.blocks import (
     Block2,
     Block4,
     BlockStats,
+    PropagationResult,
     _check_window,
     _require_adjacent,
     _rings_in_order,
@@ -767,6 +768,22 @@ def block2_is_nice_oracle(g: Graph, gc: GraphicalConstruction, block: Block2) ->
 def block4_is_nice_oracle(g: Graph, gc: GraphicalConstruction, block: Block4) -> bool:
     _require_adjacent(g, block.sites)
     return is_nice_oracle(g, gc, block.sites, required_goods_quad(g, block.sites), _ORDERS4, block.window)
+
+
+def propagation_check_oracle(g: Graph, gc: GraphicalConstruction, block, config_bottom) -> PropagationResult:
+    """blocks._propagation_check from the niceness oracles and replay_oracle."""
+    if isinstance(block, Block2):
+        nice, watched = block2_is_nice_oracle(g, gc, block), (block.x, block.y)
+    else:
+        a, _, _, e = block.sites
+        nice, watched = block4_is_nice_oracle(g, gc, block), (a, e)
+    cb = np.asarray(config_bottom, dtype=np.uint8)
+    bottom = tuple(int(cb[v]) for v in watched)
+    if not (nice and 0 in bottom):
+        return PropagationResult(nice, False, None, bottom, None)
+    final = replay_oracle(g, cb, gc, collect_log=False, window=block.window).final
+    top = tuple(int(final[v]) for v in watched)
+    return PropagationResult(nice, True, all(b == 0 for b in top), bottom, top)
 
 
 def sample_graphical_batch_oracle(g, params, horizon, n_samples, seed, vertices=None):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from bslab import percolation
-from bslab.blocks import Block2, Block4, block2_is_nice, block4_is_nice
+from bslab.blocks import (
+    Block2,
+    Block4,
+    block2_is_nice,
+    block2_proposition_check,
+    block4_is_nice,
+    block4_propagation_check,
+)
 from bslab.bounds import hat_L, tilde_L
 from bslab.dynamics import (
     GraphicalConstruction,
@@ -24,12 +31,14 @@ from bslab.percolation import (
     prob_good_level,
     sites_at_level,
 )
+from bslab.rng import substream
 from oracle_utils import (
     block2_is_nice_oracle,
     block4_is_nice_oracle,
     merged_events_oracle,
     prob_connect_theta_sweep_oracle,
     prob_good_level_oracle,
+    propagation_check_oracle,
     sample_graphical_batch_oracle,
 )
 
@@ -250,3 +259,27 @@ def test_block4_niceness_matches_oracle_with_a_shifted_window():
         gc = _hand_gc(g, 2.0, rings)
         want = block4_is_nice_oracle(g, gc, blk)
         assert block4_is_nice(g, gc, blk) == want == nice, name
+
+
+@pytest.mark.parametrize("flavor", ["two", "four"])
+def test_propagation_check_matches_composed_oracle(flavor):
+    """test_05's pair and four-block on 2000 seeded samples each: the lean
+    check equals niceness and replay recomputed by their oracles, from
+    test_05's bottom and from a random bottom per sample."""
+    params = ModelParams(p=0.01)
+    if flavor == "two":
+        g, L = parse_graph_spec("cycle:12"), hat_L(0.01, 2)
+        blk, check = Block2(1, 2, 1, L), block2_proposition_check
+    else:
+        g, L = parse_graph_spec("cycle:16"), tilde_L(0.01, 2)
+        blk, check = Block4(tuple(range(12)), 0, 0.0, L), block4_propagation_check
+    bottom = np.ones(g.num_vertices, dtype=np.uint8)
+    bottom[blk.sites[0]] = 0
+    rng = substream(205, 1)
+    seen = set()
+    for gc in sample_graphical_batch(g, params, L, 2000, 205):
+        for cb in (bottom, (rng.random(g.num_vertices) < 0.5).astype(np.uint8)):
+            got = check(g, gc, blk, cb)
+            assert got == propagation_check_oracle(g, gc, blk, cb)
+            seen.add((got.nice, got.applicable))
+    assert seen == {(False, False), (True, False), (True, True)}

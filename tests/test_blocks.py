@@ -14,7 +14,6 @@ from bslab.blocks import (
     BlockGrid,
     IndependenceReport,
     Stick,
-    _has_increasing_rings,
     _nice_spec,
     _rings_in_order,
     block2_is_nice,
@@ -42,7 +41,13 @@ from bslab.dynamics import (
 from bslab.graphs import closed_neighbourhood, generate, parse_graph_spec
 from bslab.percolation import level_size
 
-from oracle_utils import required_goods_pair, required_goods_quad
+from oracle_utils import _has_increasing_rings_oracle as _has_increasing_rings
+from oracle_utils import (
+    block2_is_nice_oracle,
+    block4_is_nice_oracle,
+    required_goods_pair,
+    required_goods_quad,
+)
 
 
 def make_gc(g, horizon, rings):
@@ -115,6 +120,17 @@ def test_stick_goodness_semantics():
         stick_is_good(g, gc, s, [5])  # outside the closed neighbourhood
     with pytest.raises(ValueError):
         stick_is_good(g, gc, Stick(2, 2, 1.0), [2])  # past the horizon
+
+
+def test_stick_goodness_at_the_window_ends():
+    """Window (1, 2] of Stick(2, 2, 1.0): a one proposed at t0 is outside
+    it, one proposed at t1 inside."""
+    g = generate("cycle", 6)
+    s = Stick(2, 2, 1.0)
+    assert stick_is_good(g, make_gc(g, 3.0, {2: [(1.0, {3: 1})]}), s, [3])
+    assert not stick_is_good(g, make_gc(g, 3.0, {2: [(2.0, {3: 1})]}), s, [3])
+    assert stick_is_good(g, make_gc(g, 3.0, {2: [(1.0, {3: 1}), (2.0, {1: 1})]}), s, [2, 3])
+    assert not stick_is_good(g, make_gc(g, 3.0, {2: [(1.0, {}), (2.0, {1: 1})]}), s, [1])
 
 
 def test_stick_goodness_monotone_in_set():
@@ -356,6 +372,58 @@ def test_propagation_watches_the_two_block_ends():
         assert res.nice and res.applicable and res.passed is True
         assert res.bottom == (1, 0)
         assert res.top == (0, 0)
+
+
+def test_block_niceness_at_the_window_ends():
+    """Window (1, 2]: a ring exactly at t0 is outside it and one exactly at
+    t1 inside, for a site's ring count, every stick's marks and a
+    four-block's ring order, whose rings must also come at strictly
+    increasing times.  Seeded rings never sit on these edges."""
+    g = generate("cycle", 16)
+    pair = Block2(1, 2, 2, 1.0)
+    base = {1: [(1.5, {})], 2: [(2.0, {})]}
+    pair_cases = {
+        "site ring at t1 counts": (base, True),
+        "site ring only at t0": ({1: [(1.0, {})], 2: [(2.0, {})]}, False),
+        "site one proposed at t0 is outside": ({1: [(1.0, {2: 1}), (1.5, {})], 2: [(2.0, {})]}, True),
+        "site one proposed at t1 is inside": ({1: [(1.5, {})], 2: [(2.0, {1: 1})]}, False),
+        "neighbour one proposed at t0 is outside": ({**base, 0: [(1.0, {1: 1})]}, True),
+        "neighbour one proposed at t1 is inside": ({**base, 3: [(2.0, {2: 1})]}, False),
+    }
+    four = Block4(tuple(range(12)), 2, 1.0, 1.0)  # sites a, b, c, e = 2, 3, 4, 5
+    base4 = {2: [(1.1, {})], 3: [(1.2, {}), (1.5, {})], 4: [(1.3, {})], 5: [(1.05, {})]}
+    four_cases = {
+        "rings in order": (base4, True),
+        "an extreme's ring at t0 cannot start an order": ({**base4, 2: [(1.0, {}), (1.6, {})]}, False),
+        "a middle ring at t1 ends an order": ({**base4, 3: [(1.2, {}), (2.0, {})]}, True),
+        "a ring at the previous site's time does not follow it": (
+            {**base4, 3: [(1.1, {}), (1.5, {})]}, False),
+        "site one proposed at t0 is outside": ({**base4, 5: [(1.0, {4: 1}), (1.05, {})]}, True),
+        "neighbour one proposed at t0 is outside": ({**base4, 1: [(1.0, {2: 1})]}, True),
+        "neighbour one proposed at t1 is inside": ({**base4, 6: [(2.0, {5: 1})]}, False),
+    }
+    for blk, cases, oracle in ((pair, pair_cases, block2_is_nice_oracle), (four, four_cases, block4_is_nice_oracle)):
+        for name, (rings, nice) in cases.items():
+            gc = make_gc(g, 3.0, rings)
+            assert (block2_is_nice if blk is pair else block4_is_nice)(g, gc, blk) == nice, name
+            assert oracle(g, gc, blk) == nice, name
+
+
+def test_propagation_check_refuses_a_bottom_value_other_than_zero_or_one():
+    """A 7 at a watched site was reported as bottom=(0, 7).  The check
+    refuses it before niceness, so also where the block is not nice."""
+    for g, blk, check in (
+        (generate("cycle", 12), Block2(1, 2, 1, 1.0), block2_proposition_check),
+        (generate("cycle", 16), Block4(tuple(range(12)), 0, 0.0, 1.0), block4_propagation_check),
+    ):
+        bottom = np.ones(g.num_vertices)
+        bottom[blk.sites[0]], bottom[blk.sites[-1]] = 0, 7
+        for gc in (make_gc(g, 1.0, {}), dense_zero_gc(g, 1.0)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                check(g, gc, blk, bottom)
+        bottom[blk.sites[-1]] = 0.5
+        with pytest.raises(ValueError, match="0 or 1"):
+            check(g, dense_zero_gc(g, 1.0), blk, bottom)
 
 
 def test_overlapping_blocks_positively_dependent():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bslab.bounds import (
     FORMULAS,
+    _theta_4block,
     block2_asymptote,
     block2_nice_lb,
     choose_h,
@@ -247,6 +249,54 @@ def test_theta_4block_past_the_double_range():
     # sum must not add them up separately
     for L, p, d in itertools.product([10.0**k for k in range(3, 309, 5)], (1e-300, 1e-17, 1e-12), (2, 10**6)):
         assert 0.0 <= theta_4block(L, p, d) <= 1.0, (L, p, d)
+
+
+def test_theta_4block_above_one_takes_the_log_space_branch():
+    """Where q = 1 - p rounds towards 1, the direct product can pass 1
+    (1.0000000000000004 at L = 300, p = 1e-17, d = 2).  Such a value is
+    taken in log space instead; every direct value in the normal range
+    and at most 1 is returned bit for bit."""
+    above = 0
+    grid = itertools.product(
+        (0.5, 5.0, 50.0, 100.0, 200.0, 283.0, 300.0, 500.0, 740.0),
+        (1e-300, 1e-17, 1e-16, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.49),
+        (1, 2, 3, 4, 12),
+    )
+    for L, p, d in grid:
+        got = theta_4block(L, p, d)
+        assert 0.0 <= got <= 1.0, (L, p, d)
+        try:
+            direct = _theta_4block(L, 1 - p, d, math)
+        except OverflowError:
+            continue
+        if sys.float_info.min <= direct <= 1.0:
+            assert got == direct, (L, p, d)
+        above += direct > 1.0
+    assert above > 0  # the grid reaches the rounded-q case
+    assert theta_4block(300.0, 1e-17, 2) <= 1.0
+    assert evaluate_formula("theta_4block", L=300.0, p=1e-300, d=2).flags == ()
+
+
+# uniform draws alone almost never pair a p below 1e-15 with an L of a few
+# hundred, where q = 1 - p rounding towards 1 shows, so half are log-uniform
+_P = st.one_of(st.floats(1e-300, 0.5, exclude_max=True), st.floats(-300.0, -0.5).map(lambda e: 10.0**e))
+_L = st.one_of(st.floats(0.0, 1e4, exclude_min=True), st.floats(-3.0, 4.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_P, L=_L, d=st.integers(1, 12), a=st.integers(0, 13))
+def test_block_bounds_lie_in_the_unit_interval(p, L, d, a):
+    """stick_good_lb, block2_nice_lb and theta_4block are probabilities
+    for every p in [1e-300, 0.5), L in (0, 1e4] and d in 1..12;
+    stick_good_lb refuses q = 1 - p once it rounds to 1."""
+    q = 1.0 - p
+    if q < 1.0:
+        assert 0.0 <= stick_good_lb(L, q, a) <= 1.0
+    else:
+        with pytest.raises(ValueError):
+            stick_good_lb(L, q, a)
+    assert 0.0 <= block2_nice_lb(L, p, d) <= 1.0
+    assert 0.0 <= theta_4block(L, p, d) <= 1.0
 
 
 def test_block2_nice_lb_at_the_largest_L():

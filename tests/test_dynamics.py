@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bslab.dynamics import (
+    GraphicalConstruction,
     ModelParams,
     all_ones,
     all_zeros,
@@ -22,7 +23,7 @@ from bslab.dynamics import (
 from bslab.exact import build_kernel
 from bslab.graphs import closed_neighbourhood, generate
 from bslab.rng import substream
-from oracle_utils import simulate_continuous
+from oracle_utils import replay_oracle, simulate_continuous
 
 
 def test_model_params():
@@ -186,6 +187,73 @@ def test_replay_window_validation():
     for bad in ((-1.0, 2.0), (2.0, 2.0), (1.0, 99.0)):
         with pytest.raises(ValueError):
             replay(g, c0, gc, window=bad)
+
+
+def _hand_gc(g, horizon, rings):
+    """rings maps vertex -> [(time, mark row over N[x] in id order)]."""
+    entries = [rings.get(x, ()) for x in range(g.num_vertices)]
+    return GraphicalConstruction(
+        horizon,
+        tuple(np.array([t for t, _ in e]) for e in entries),
+        tuple(
+            np.array([m for _, m in e], dtype=np.uint8).reshape(len(e), len(closed_neighbourhood(g, x)))
+            for x, e in enumerate(entries)
+        ),
+        0,
+        0,
+    )
+
+
+@pytest.mark.parametrize("allones", ["resample", "frozen"])
+def test_replay_window_ends_a_ring_at_t0_is_outside_one_at_t1_inside(allones):
+    """Vertex 2 of cycle:6 starts at zero and rings at 1.0 (marks all one),
+    2.0 (all zero) and 2.5 (all one).  A window (t0, t1] applies the ring
+    at t1 and not the one at t0; seeded rings never sit on a window end."""
+    g = generate("cycle", 6)
+    gc = _hand_gc(g, 3.0, {2: [(1.0, [1, 1, 1]), (2.0, [0, 0, 0]), (2.5, [1, 1, 1])]})
+    c0 = np.array([1, 1, 0, 1, 1, 1], dtype=np.uint8)
+    cases = {
+        (1.0, 2.0): ([1, 0, 0, 0, 1, 1], [2.0]),
+        (0.0, 1.0): ([1, 1, 1, 1, 1, 1], [1.0]),
+        (2.0, 3.0): ([1, 1, 1, 1, 1, 1], [2.5]),
+    }
+    for window, (final, fired_at) in cases.items():
+        res = replay(g, c0, gc, allones=allones, window=window)
+        assert res.final.tolist() == final, window
+        assert [t for t, _, fired, _ in res.log if fired] == fired_at, window
+        assert (res.applied_count, res.muted_count) == (1, 0), window
+        ref = replay_oracle(g, c0, gc, allones=allones, window=window)
+        assert res.final.tobytes() == ref.final.tobytes(), window
+
+
+@pytest.mark.parametrize("bad", [[2, 1, 1, 1], [0.5, 1, 1, 1], [1, 1, 1, 7], [-1, 0, 0, 0], [256, 1, 1, 1]])
+def test_a_configuration_value_other_than_zero_or_one_is_refused(bad):
+    """A 2 was never resampled (so the all-ones rule never fired) and 0.5
+    was cast to 0.  replay and step_discrete refuse such a configuration
+    before any event or draw."""
+    g = generate("cycle", 4)
+    params = ModelParams(p=0.5)
+    gc = sample_graphical(g, params, 3.0, seed=1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        replay(g, bad, gc)
+    rng = substream(5, 0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        step_discrete(g, bad, params, rng)
+    assert rng.random() == substream(5, 0).random()  # nothing drawn
+    with pytest.raises(ValueError, match="size"):
+        replay(g, bad[:3], gc)
+
+
+def test_zero_one_configurations_of_any_dtype_replay_alike():
+    g = generate("cycle", 5)
+    gc = sample_graphical(g, ModelParams(p=0.3), 6.0, seed=3)
+    bits = [0, 1, 1, 0, 1]
+    want = replay(g, np.array(bits, dtype=np.uint8), gc)
+    for c0 in (bits, np.array(bits, dtype=bool), np.array(bits, dtype=float), np.array(bits, dtype=np.int64)):
+        got = replay(g, c0, gc)
+        assert got.final.dtype == np.uint8
+        assert got.final.tobytes() == want.final.tobytes()
+        assert got.applied_count == want.applied_count
 
 
 def test_event_driven_matches_replay_bitwise():
