@@ -728,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--replica", type=int, default=0)
     ps.set_defaults(func=cmd_simulate)
 
-    pe = sub.add_parser("exact", parents=[common, gopt, law], help="stationary law by power iteration")
+    pe = sub.add_parser("exact", parents=[common, gopt, law], help="stationary law by a lumped solve or power iteration")
     pe.set_defaults(func=cmd_exact)
 
     pm = sub.add_parser("mc", parents=[common, gopt, law], help="batch-means Monte Carlo estimates")

@@ -300,7 +300,7 @@ def replay(
     reflects all events with time <= t.  With window=(t0, t1), config0 is
     the state at t0 and only events in (t0, t1] are applied: a searchsorted
     range of the merged, sorted event times.  config0 must hold one 0 or 1
-    per vertex.
+    per vertex, and every snapshot time must be finite and nonnegative.
 
     The event loop runs on Python lists and ints, each vertex's mark rows
     converted once per call; log entries keep the construction's mark rows
@@ -317,6 +317,8 @@ def replay(
         lo, hi = ts.searchsorted((t0, t1), side="right").tolist()
         ts, vs, rows = ts[lo:hi], vs[lo:hi], rows[lo:hi]
     snaps = sorted(float(s) for s in (snapshot_times if snapshot_times is not None else ()))
+    if not all(0.0 <= s < math.inf for s in snaps):
+        raise ValueError("snapshot_times must be finite and >= 0")
     snaps.append(math.inf)  # a sentinel no event time reaches
     n = g.num_vertices
     resample = allones == "resample"

@@ -13,8 +13,15 @@ entries (_BLOCK_ENTRIES) and, for a large kernel, converts the upper
 blocks in a forked helper process; the kernel is the same bits as one
 whole-matrix conversion either way.
 
-`stationary` runs power iteration as a row-gather product on P^T and, on
-a large kernel, computes each step's upper rows in a forked helper
+`stationary` has two routes.  A kernel of at least 2^14 states
+(_LUMP_MIN_STATES) on a graph whose automorphism group is nontrivial is
+lumped onto the state orbits of that group, which the dynamics commute
+with (strong lumpability; Kemeny & Snell, Finite Markov Chains, 1960,
+Sec. 6.3): the orbit chain is solved by GMRES (Saad & Schultz, SIAM J.
+Sci. Stat. Comput. 7, 1986) and lifted back, and its `residual` is the
+true l1 residual of the returned law on the whole kernel.  Every other
+kernel runs power iteration as a row-gather product on P^T and, on a
+large kernel, computes each step's upper rows in a forked helper
 process; the law is the same bits either way, and its `residual` is a
 stopping criterion, not an error bound.
 
@@ -35,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams
-from .graphs import Graph, closed_neighbourhood
+from .graphs import Graph, automorphisms, closed_neighbourhood
 
 __all__ = [
     "TransitionModel",
@@ -80,6 +87,15 @@ _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
 # helper cost 4-6 ms and a split step saved 0.17-0.74 ms at 0.6 M nonzeros
 # but 0.04 ms at 0.13 M and nothing at 0.06 M
 _SPLIT_MIN_NNZ = 500_000
+# smallest kernel, in states, that `stationary` solves on the state orbits
+# of the graph's automorphism group when that group is nontrivial.  On a
+# 2-vCPU Xeon guest the lumped solve of cycle:14 took 0.02-0.07 s against
+# the power loop's 0.2 s, cycle:16 0.04 s against 1.0-1.3 s and path:16
+# 0.3-0.4 s against 1.3-2.1 s; smaller kernels keep the power loop's bits
+_LUMP_MIN_STATES = 1 << 14
+# GMRES passes on the lumped system, each on the residual the previous
+# ones left, before `stationary` gives up on the tolerance
+_LUMP_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -414,16 +430,114 @@ class _Helper(_Forked):
         return out
 
 
-def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
-    """Stationary law by sparse power iteration.
+def _orbit_labels(n: int, gens) -> np.ndarray:
+    """Each state's smallest orbit-mate under the group that the vertex
+    permutations `gens` generate, as an int32 array over all 2^n states.
 
-    flavor="embedded" solves pi P = pi for the jump chain; `residual` is the
+    A state's image under a permutation is read from one 256-entry table
+    per byte of the state.  Each pass lowers every label to the label of
+    its image under each generator in turn, then jumps every label to its
+    own label; the passes stop at the first that changes nothing.  At that
+    fixpoint a label is no larger than its image's under any generator, so
+    it is constant along each generator's cycles and hence on each orbit
+    of the generated group, where the orbit's minimum keeps its own.
+    """
+    states = np.arange(1 << n, dtype=np.int32)
+    width = (n + 7) // 8
+    chunks = [(states >> (8 * b)) & 0xFF for b in range(width)]
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tables = []
+    for perm in gens:
+        moved = np.zeros(8 * width, dtype=np.int64)
+        moved[:n] = np.left_shift(1, np.asarray(perm, dtype=np.int64))
+        tables.append([(bits @ moved[8 * b : 8 * b + 8]).astype(np.int32) for b in range(width)])
+    labels = states
+    while True:
+        before = labels.copy()
+        for table in tables:
+            image = table[0][chunks[0]]
+            for part, chunk in zip(table[1:], chunks[1:]):
+                image |= part[chunk]
+            np.minimum(labels, labels[image], out=labels)
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _lumped_stationary(tm: TransitionModel, gens, flavor: str) -> StationaryDist:
+    """The stationary law from the chain lumped onto the state orbits of
+    the group `gens` generates; see `stationary`."""
+    from scipy.sparse.linalg import LinearOperator, gmres  # slow to import; only this path needs it
+
+    labels = _orbit_labels(tm.graph.num_vertices, gens)
+    reps, orbit = np.unique(labels, return_inverse=True)
+    m = len(reps)
+    sizes = np.bincount(orbit, minlength=m)
+    # row O of the lumped kernel: a representative's row, with each column
+    # summed into its orbit's; the same for every state of O (strong lumpability)
+    rows = tm.kernel[reps]
+    lumped = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(m, m))
+    lumped.sum_duplicates()
+    lumped_t = lumped.T
+    # (I - P^T + 1 1^T / m) y = 1 has m times the lumped law as its only
+    # solution.  Scaled so, y's entries are near 1 like the right-hand
+    # side's, and GMRES's relative tolerance bounds the l1 residual of the
+    # law by about 1e-14; unscaled (1 1^T, solving for the law itself) it
+    # bounded that by m * 1e-14, and path:16 (m = 32896) stopped at 2e-10
+    system = LinearOperator((m, m), matvec=lambda y: y - lumped_t @ y + y.sum() / m, dtype=np.float64)
+    ones = np.ones(m)
+    kt = tm.kernel.T  # a CSC view: no transpose is copied
+    y = np.zeros(m)
+    for _ in range(_LUMP_PASSES):
+        # at most 20 restart cycles: a pass that stalls near rounding
+        # level otherwise runs 10 m cycles before it returns
+        step, _ = gmres(system, ones - system @ y, restart=60, rtol=1e-14, atol=0.0, maxiter=20)
+        y = y + step
+        pi = (np.maximum(y, 0.0) / sizes)[orbit]
+        total = float(pi.sum())
+        if not (np.isfinite(total) and total > 0.0):
+            continue
+        pi /= total
+        if flavor == "continuous":
+            weights = pi / tm.exit_rates
+            pi = weights / weights.sum()
+            law = pi * tm.exit_rates
+        else:
+            law = pi
+        residual = float(np.abs(kt @ law - law).sum())
+        if residual < _STATIONARY_TOL:
+            return StationaryDist(pi, flavor, residual)
+    raise RuntimeError(f"lumped solve did not reach tol={_STATIONARY_TOL} in {_LUMP_PASSES} passes")
+
+
+def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
+    """Stationary law, by a lumped linear solve or by sparse power iteration.
+
+    flavor="embedded" solves pi P = pi for the jump chain; flavor
+    "continuous" reweights that law by the expected holding times 1/r.
+
+    Lumped route: a kernel of at least 2^14 states (_LUMP_MIN_STATES) on a
+    graph with a nontrivial automorphism group (`graphs.automorphisms`).
+    States are labelled by their orbits under the group, the lumped kernel
+    is a representative's row per orbit with its columns summed by orbit,
+    and (I - P^T + 1 1^T / m) y = 1 over the m orbits is solved by GMRES
+    (restart 60, rtol 1e-14).  The law is y lifted to the states,
+    pi(s) = y(O(s)) / |O(s)|, normalised, and reweighted by 1/r for the
+    continuous flavor (exit rates are constant on orbits).  `residual` is
+    the true l1 residual on the whole kernel, |P^T pi - pi|_1 (embedded)
+    or |P^T f - f|_1 on the flux f = pi r (continuous), taken on P's CSC
+    view without a copied transpose.  Up to four GMRES passes (each on the
+    residual the passes before it left) run until that residual is below
+    1e-10; otherwise the call raises RuntimeError.
+
+    Power route: every other kernel.  For flavor="embedded" `residual` is the
     l1 change of the last power step, which stops the iteration below 1e-10:
     a stopping criterion, not an error bound (at p = 0.3 the true l1 error
     measured 9x the residual on cycle:10, 26x on cycle:16).  flavor="continuous"
-    reweights that law by the expected holding times 1/r and reports the
-    l1 flux residual |(pi r) P - pi r|_1 of the reweighted law.  Each step
-    is a row-gather product on P^T, transposed once per call.  On a kernel
+    reports the l1 flux residual |(pi r) P - pi r|_1 of the reweighted
+    law, after iterating until the embedded residual over sum(pi/r) is
+    below 1e-10.  Each step is a row-gather product on P^T, transposed
+    once per call.  On a kernel
     of at least 500,000 nonzeros (_SPLIT_MIN_NNZ), where `os.fork`, two
     CPUs and no other live thread allow it, each step is computed as two
     row ranges split at half of P^T's nonzeros: a helper process, forked
@@ -439,6 +553,10 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
         pi = np.zeros(size)
         pi[size - 1] = 1.0
         return StationaryDist(pi, flavor, 0.0)
+    if size >= _LUMP_MIN_STATES:
+        gens = automorphisms(tm.graph)
+        if gens:
+            return _lumped_stationary(tm, gens, flavor)
     kt = tm.kernel.T.tocsr()
     helper = _Helper(kt) if _helper_allowed(kt.nnz) else None
     product = (lambda x: kt @ x) if helper is None else helper.product

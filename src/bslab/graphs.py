@@ -22,6 +22,7 @@ __all__ = [
     "build_graph",
     "generate",
     "closed_neighbourhood",
+    "automorphisms",
     "chain_defect",
     "is_chain",
     "longest_chain",
@@ -165,6 +166,84 @@ def _random_regular(n: int, d: int, seed: int | None) -> Graph:
         except ValueError:
             continue
     raise RuntimeError("random_regular: no simple connected pairing found")
+
+
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """A generating set of g's automorphism group, empty when the group is
+    trivial.  A generator is a tuple `perm` that maps vertex v to perm[v].
+
+    The set is the union of the transversals of a stabiliser chain along
+    the BFS order from vertex 0: at depth i, for each vertex t other than
+    the i-th of that order, the first automorphism found that fixes the
+    earlier vertices of the order and sends the i-th to t.  Those
+    transversals generate the whole group (Sims' stabiliser chain), so
+    orbits of the generators are orbits of the group.  The search maps
+    vertices in BFS order, each to a neighbour of its BFS parent's image
+    of the same degree whose adjacency to the vertices already mapped
+    agrees with its own.
+    """
+    n = g.num_vertices
+    adjacency = g.adjacency
+    near = [set(a) for a in adjacency]
+    # BFS order from vertex 0; parent[v] is the vertex that discovered v
+    order, parent, seen = [0], [-1] * n, {0}
+    for u in order:
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                order.append(v)
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    # earlier[k]: the positions of order[k]'s neighbours that precede it
+    earlier = [[pos[u] for u in adjacency[v] if pos[u] < k] for k, v in enumerate(order)]
+
+    def fits(k: int, c: int, image: list[int], used: set[int]) -> bool:
+        """Whether order[k] may map to c after order[:k] maps to image."""
+        return (
+            c not in used
+            and len(adjacency[c]) == len(adjacency[order[k]])
+            and len(near[c] & used) == len(earlier[k])
+            and all(image[j] in near[c] for j in earlier[k])
+        )
+
+    def extend(image: list[int]) -> bool:
+        """Complete `image` in place to the first automorphism found; False
+        if there is none.  Iterative, so that no graph meets the recursion
+        limit."""
+        base = len(image)
+        tries = []  # tries[j]: the candidates left for order[base + j]
+        while len(image) < n:
+            k = len(image)
+            if len(tries) == k - base:
+                used = set(image)
+                near_parent = adjacency[image[pos[parent[order[k]]]]]
+                tries.append(iter([c for c in near_parent if fits(k, c, image, used)]))
+            c = next(tries[-1], None)
+            if c is not None:
+                image.append(c)
+                continue
+            tries.pop()
+            if not tries:
+                return False
+            image.pop()
+        return True
+
+    gens: list[tuple[int, ...]] = []
+    for i in range(n):
+        fixed = order[:i]
+        used = set(fixed)
+        for t in range(n):
+            if t == order[i] or not fits(i, t, fixed, used):
+                continue
+            image = fixed + [t]
+            if extend(image):
+                perm = [0] * n
+                for v, c in zip(order, image):
+                    perm[v] = c
+                gens.append(tuple(perm))
+    return tuple(gens)
 
 
 def closed_neighbourhood(g: Graph, x: int) -> tuple[int, ...]:

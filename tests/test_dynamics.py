@@ -168,6 +168,15 @@ def test_replay_snapshots_reflect_prefix():
     assert np.array_equal(sub.final, res.snapshots[0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_replay_refuses_snapshot_times_that_are_not_finite_and_nonnegative(bad):
+    """[nan, 1.0] once returned the final state twice."""
+    g = generate("cycle", 5)
+    gc = sample_graphical(g, ModelParams(p=0.5), 6.0, seed=17)
+    with pytest.raises(ValueError, match="snapshot_times"):
+        replay(g, all_zeros(g), gc, snapshot_times=[bad, 1.0])
+
+
 def test_replay_window_composition():
     g = generate("torus2d", 3, 3)
     params = ModelParams(p=0.25)

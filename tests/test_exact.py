@@ -15,9 +15,9 @@ from bslab.exact import (
     stationary,
     tail_geometric_fit,
 )
-from bslab.graphs import generate
+from bslab.graphs import generate, parse_graph_spec
 from bslab.rng import substream
-from oracle_utils import dense_transition_t
+from oracle_utils import dense_transition_t, stationary_oracle
 
 
 def _model(n=5, p=0.3, allones="resample", family="cycle"):
@@ -248,3 +248,54 @@ def test_tail_geometric_fit_recovers_synthetic_slope():
     fit = tail_geometric_fit(sd, g)
     assert fit.c2 == pytest.approx(-np.log(rho), rel=0.05)
     assert fit.rms < 0.1
+
+
+LUMPED_GRAPHS = [f"cycle:{n}" for n in range(5, 13)] + ["torus2d:3x3", "complete:6", "path:7"]
+
+
+@pytest.fixture
+def lumped(monkeypatch):
+    """Every kernel on a graph with a nontrivial group takes the lumped route."""
+    monkeypatch.setattr(exact, "_LUMP_MIN_STATES", 0)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
+@pytest.mark.parametrize("spec", LUMPED_GRAPHS)
+def test_lumped_stationary_matches_the_power_loop(lumped, spec, p):
+    g = parse_graph_spec(spec)
+    tm = build_kernel(g, ModelParams(p=p))
+    for flavor in ("embedded", "continuous"):
+        sd = stationary(tm, flavor=flavor)
+        ref = stationary_oracle(tm, flavor=flavor)
+        assert sd.flavor == flavor
+        assert (sd.probs >= 0).all() and abs(sd.probs.sum() - 1.0) < 1e-12
+        assert np.abs(sd.probs - ref.probs).sum() <= 1e-8
+        assert sd.residual < exact._STATIONARY_TOL
+        # the residual is the law's own, on the whole kernel
+        law = sd.probs * (tm.exit_rates if flavor == "continuous" else 1.0)
+        assert sd.residual == pytest.approx(np.abs(law @ tm.kernel - law).sum(), rel=1e-6, abs=1e-15)
+        if not spec.startswith("path"):
+            v1 = marginals(sd, g).vertex_one
+            assert v1.max() - v1.min() <= 1e-12
+
+
+def test_lumped_solve_that_goes_nowhere_raises(lumped, monkeypatch):
+    import scipy.sparse.linalg
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", lambda A, b, **kw: (np.zeros_like(b), 0))
+    tm = build_kernel(generate("cycle", 8), ModelParams(p=0.3))
+    for flavor in ("embedded", "continuous"):
+        with pytest.raises(RuntimeError, match="lumped solve"):
+            stationary(tm, flavor=flavor)
+
+
+def test_trivial_group_at_the_gate_keeps_the_power_loop_bits():
+    """regular:14:4 (seed 1) has 2^14 states and no automorphism but the
+    identity, so it solves by power iteration, to the oracle's bits."""
+    g = parse_graph_spec("regular:14:4", seed=1)
+    tm = build_kernel(g, ModelParams(p=0.3))
+    assert tm.kernel.shape[0] == exact._LUMP_MIN_STATES
+    for flavor in ("embedded", "continuous"):
+        sd, ref = stationary(tm, flavor=flavor), stationary_oracle(tm, flavor=flavor)
+        assert sd.probs.tobytes() == ref.probs.tobytes()
+        assert sd.residual == ref.residual

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bslab import exact
+from bslab.dynamics import ModelParams
+from bslab.exact import _orbit_labels, build_kernel, stationary
 from bslab.graphs import (
     BudgetExceeded,
     Graph,
+    automorphisms,
     build_graph,
     chain_cover,
     chain_defect,
@@ -274,3 +278,76 @@ def test_heuristic_path_is_the_shortest_path_to_the_first_farthest_vertex(spec):
         if best is None or path.length > best.length:
             best = path
     assert longest_chain(g, mode="heuristic") == best
+
+
+# a star centred at vertex 0: the BFS root is fixed by every automorphism,
+# so all of the group sits in the stabiliser of the first vertex
+STAR = build_graph(8, [(0, v) for v in range(1, 8)])
+SYMMETRIC = ["cycle:16", "torus2d:4x4", "complete:8", "path:16", "torus2d:3x4", "path:7"]
+
+
+def _graph(spec):
+    return STAR if spec == "star:8" else parse_graph_spec(spec)
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC + ["star:8"])
+def test_every_generator_preserves_adjacency(spec):
+    g = _graph(spec)
+    gens = automorphisms(g)
+    assert gens
+    edges = {frozenset(e) for e in g.edges()}
+    for perm in gens:
+        assert sorted(perm) == list(range(g.num_vertices))
+        assert {frozenset((perm[u], perm[v])) for u, v in edges} == edges
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC + ["star:8"])
+def test_orbit_labels_are_invariant_under_every_generator(spec):
+    g = _graph(spec)
+    gens = automorphisms(g)
+    labels = _orbit_labels(g.num_vertices, gens)
+    states = np.arange(1 << g.num_vertices)
+    for perm in gens:
+        image = np.zeros_like(states)
+        for v, w in enumerate(perm):
+            image |= ((states >> v) & 1) << w
+        assert np.array_equal(labels[image], labels)
+    # each label is the smallest state of its orbit
+    assert (labels <= states).all() and np.array_equal(labels[labels], labels)
+
+
+# Burnside's counts of 0/1 vertex colourings up to automorphism: bracelets
+# of 16 beads, the 4-cube's vertex 2-colourings (OEIS A000616), the number
+# of ones on K_8, the mirror pairs of a 16-vertex path, and the centre bit
+# with the number of ones among a star's 7 leaves
+@pytest.mark.parametrize(
+    "spec, count",
+    [("cycle:16", 2250), ("torus2d:4x4", 402), ("complete:8", 9), ("path:16", 32896), ("star:8", 16)],
+)
+def test_orbit_counts_match_burnside(spec, count):
+    g = _graph(spec)
+    labels = _orbit_labels(g.num_vertices, automorphisms(g))
+    assert len(np.unique(labels)) == count
+
+
+def test_random_regular_graph_has_no_generators_and_takes_the_power_route(monkeypatch):
+    g = parse_graph_spec("regular:16:3", seed=1)
+    assert automorphisms(g) == ()
+
+    def no_lumping(*args):
+        raise AssertionError("the lumped route ran")
+
+    # the power loop, cut short, is the route that raises
+    monkeypatch.setattr(exact, "_lumped_stationary", no_lumping)
+    monkeypatch.setattr(exact, "_STATIONARY_MAX_ITER", 2)
+    tm = build_kernel(g, ModelParams(p=0.3))
+    assert tm.kernel.shape[0] >= exact._LUMP_MIN_STATES
+    with pytest.raises(RuntimeError, match="power iteration"):
+        stationary(tm, flavor="continuous")
+
+
+def test_automorphisms_of_a_long_path_need_no_deep_recursion():
+    """The backtracking is iterative: a recursive one stopped at the
+    interpreter's recursion limit on path:1100."""
+    n = 1100
+    assert automorphisms(generate("path", n)) == (tuple(range(n - 1, -1, -1)),)
