@@ -12,6 +12,7 @@ grid, both induce oriented-percolation bond fields on the strip.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ __all__ = [
     "block4_ring_pattern_sufficient",
     "block4_propagation_check",
     "block4_independence_check",
+    "nice_probability",
     "INDEPENDENCE_CELLS",
     "independence_chain_sites",
     "sample_stick_stats",
@@ -363,6 +365,50 @@ def block4_ring_pattern_sufficient(gc: GraphicalConstruction, block: Block4) -> 
         and rings_in(c, cuts[1], cuts[2])
         and rings_in(c, cuts[2], cuts[3])
     )
+
+
+def nice_probability(g: Graph, sites, p: float, L: float) -> float:
+    """Exact probability that the pair block (two sites) or the four-block
+    (four) on `sites` is nice in a window of length L, from its spec.
+
+    A stick v that must be A_v-good has no ring proposing a one on A_v with
+    probability exp(-L (1 - q^|A_v|)); given that, its rings are a Poisson
+    process of rate q^|A_v|, independently across sticks (Poisson
+    thinning).  Each site that no ring order names must ring at least
+    once, 1 - exp(-L q^|A_s|), which is all of a pair block's sites.  The
+    four-block's orders (_ORDERS4) must each ring through, greedily, within
+    the window: entry (start, end) of exp(L G), where G is the generator of
+    the orders' joint progress, each site's rings advancing every order
+    that waits for that site next.
+    """
+    sites = tuple(int(v) for v in sites)
+    if len(sites) not in (2, 4):
+        raise ValueError("a pair block has two sites and a four-block four")
+    if not 0.0 < p < 1.0:
+        raise ValueError("need 0 < p < 1")
+    _check_window_length(L)
+    spec = _nice_spec(g, sites)
+    rate = {v: (1.0 - p) ** len(cols) for v, cols in spec.goods}
+    ordered = {i for o in spec.orders for i in o}
+    value = math.exp(-L * sum(1.0 - r for r in rate.values())) * math.prod(
+        -math.expm1(-L * rate[v]) for i, v in enumerate(sites) if i not in ordered
+    )
+    if not spec.orders:
+        return value
+    from scipy.linalg import expm  # slow to import; only this path needs it
+
+    # progress (sites rung so far) through each order, first state none and
+    # last state all
+    states = list(itertools.product(*(range(len(o) + 1) for o in spec.orders)))
+    index = {state: k for k, state in enumerate(states)}
+    gen = np.zeros((len(states), len(states)))
+    for state in states:
+        for i, v in enumerate(sites):
+            nxt = tuple(at + (at < len(o) and o[at] == i) for at, o in zip(state, spec.orders))
+            if nxt != state:
+                gen[index[state], index[nxt]] += rate[v]
+                gen[index[state], index[state]] -= rate[v]
+    return value * float(expm(L * gen)[0, -1])
 
 
 # ---------------------------------------------------------------------------

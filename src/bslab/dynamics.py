@@ -17,6 +17,7 @@ its neighbours resampled) is included for reference experiments.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -347,6 +348,10 @@ def replay(
     return ReplayResult(np.array(cfg, dtype=np.uint8), log, snapshots, applied, len(ts) - applied)
 
 
+# uniforms drawn at once by classical_fitness_samples
+_CLASSICAL_CHUNK = 8192
+
+
 def classical_fitness_samples(
     g: Graph,
     steps: int,
@@ -358,17 +363,37 @@ def classical_fitness_samples(
 
     Each step of the classical model resamples the closed neighbourhood
     of the minimum with fresh uniforms; ties pick the smallest index.
+
+    The minimum is the top of a heap of (fitness, vertex) pairs, so a tie
+    goes to the smaller vertex.  A resampled vertex pushes a new pair and
+    leaves its old one stale; a stale pair is dropped when it reaches the
+    top, and the heap is rebuilt from the live fitnesses once it holds
+    more than 4n pairs.  The uniforms are drawn _CLASSICAL_CHUNK at a time,
+    the same doubles in the same order as one draw per resampled vertex.
     """
     rng = substream(seed, Stream.CLASSICAL_FITNESS)
-    fitness = rng.random(g.num_vertices)
-    nbhd_cache = [list(closed_neighbourhood(g, x)) for x in range(g.num_vertices)]
+    n = g.num_vertices
+    fitness = rng.random(n).tolist()
+    nbhds = [closed_neighbourhood(g, x) for x in range(n)]
+    heap: list[tuple[float, int]] = []
+    draws: list[float] = []
+    at = 0
     samples: list[np.ndarray] = []
     for k in range(steps):
-        v = int(np.argmin(fitness))
-        nb = nbhd_cache[v]
-        fitness[nb] = rng.random(len(nb))
+        if not heap or len(heap) > 4 * n:
+            heap = [(f, x) for x, f in enumerate(fitness)]
+            heapq.heapify(heap)
+        while fitness[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)
+        v = heap[0][1]
+        for x in nbhds[v]:
+            if at == len(draws):
+                draws, at = rng.random(_CLASSICAL_CHUNK).tolist(), 0
+            fitness[x] = draws[at]
+            heapq.heappush(heap, (draws[at], x))
+            at += 1
         if k >= burn_in and (k - burn_in) % sample_every == 0:
-            samples.append(fitness.copy())
+            samples.append(np.array(fitness))
     if not samples:
         raise ValueError("no samples collected; increase steps")
     return np.concatenate(samples)

@@ -29,6 +29,12 @@ The time-t checks never form the dense 2^n x 2^n P_t: they apply it to a
 set's two indicator columns, by t sparse kernel products (embedded) or by
 `expm_multiply` on t Q, Q = diag(r)(P - I) (continuous; Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011), so memory stays O(nnz + 2^n).
+
+`scipy.sparse` is slow to import (it loads scipy's array-API layer), so
+`import bslab` does not pay for it: the functions that build, solve or
+apply a kernel import it where they run.  `build_kernel` and `stationary`
+import it first thing, before either can fork a helper, so a helper
+always inherits the loaded module and never runs an import of its own.
 """
 from __future__ import annotations
 
@@ -37,12 +43,15 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import ALLONES_SEMANTICS, FLAVORS, ModelParams
 from .graphs import Graph, automorphisms, closed_neighbourhood
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TransitionModel",
@@ -142,6 +151,8 @@ def _block_csr(pats, allones: str, zero_counts: np.ndarray, a: int, b: int, scra
     whole-matrix build: site by site, then the all-ones row, which is the
     only row with no zero.
     """
+    import scipy.sparse as sp  # slow to import; only the kernel paths need it
+
     rows, cols, vals = scratch
     n, size = len(pats), len(zero_counts)
     block = np.arange(a, b, dtype=np.int32)
@@ -271,6 +282,8 @@ def _csr(shape, indptr, indices, data) -> sp.csr_matrix:
     The arrays are set after construction: scipy's format check copies
     any index or data view that holds less than half of its base array.
     """
+    import scipy.sparse as sp  # slow to import; only the kernel paths need it
+
     matrix = sp.csr_matrix(shape, dtype=data.dtype)
     matrix.indptr = indptr
     matrix.indices = indices
@@ -303,6 +316,10 @@ def build_kernel(
     made of private arrays; the helper is reaped before the call returns or
     raises, and a helper that exits without its rows makes the call raise.
     """
+    # slow to import; imported here, before any helper forks, so that a
+    # helper never runs an import of its own
+    import scipy.sparse  # noqa: F401
+
     n = g.num_vertices
     if n > budget:
         raise ValueError(f"state space 2^{n} exceeds budget 2^{budget}")
@@ -467,6 +484,7 @@ def _orbit_labels(n: int, gens) -> np.ndarray:
 def _lumped_stationary(tm: TransitionModel, gens, flavor: str) -> StationaryDist:
     """The stationary law from the chain lumped onto the state orbits of
     the group `gens` generates; see `stationary`."""
+    import scipy.sparse as sp  # slow to import; only the kernel paths need it
     from scipy.sparse.linalg import LinearOperator, gmres  # slow to import; only this path needs it
 
     labels = _orbit_labels(tm.graph.num_vertices, gens)
@@ -546,6 +564,10 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
     This process alone normalises, tests for convergence and reweights.
     The result is the same bits with or without the helper.
     """
+    # slow to import; imported here, before any helper forks, so that a
+    # helper never runs an import of its own
+    import scipy.sparse  # noqa: F401
+
     if flavor not in FLAVORS:
         raise ValueError("flavor must be 'embedded' or 'continuous'")
     size = tm.kernel.shape[0]
@@ -637,6 +659,7 @@ def _apply_t(tm: TransitionModel, F: np.ndarray, t: float, flavor: str) -> np.nd
         return F
     if flavor != "continuous":
         raise ValueError("flavor must be 'embedded' or 'continuous'")
+    import scipy.sparse as sp  # slow to import; only the kernel paths need it
     from scipy.sparse.linalg import expm_multiply  # slow to import; only this path needs it
 
     q = sp.diags(tm.exit_rates) @ (tm.kernel - sp.identity(tm.kernel.shape[0], format="csr"))

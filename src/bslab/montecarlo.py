@@ -10,7 +10,6 @@ estimates never depend on worker count or scheduling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +214,8 @@ def run_batches(
     if n_jobs == 1 or n_replicas == 1:
         results = [_replica_batches(*a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only the pool needs it
+
         with ProcessPoolExecutor(max_workers=min(n_jobs, n_replicas)) as ex:
             results = list(ex.map(_replica_batches, *zip(*args)))
     bits = np.vstack([r[0] for r in results])

@@ -770,6 +770,53 @@ def block4_is_nice_oracle(g: Graph, gc: GraphicalConstruction, block: Block4) ->
     return is_nice_oracle(g, gc, block.sites, required_goods_quad(g, block.sites), _ORDERS4, block.window)
 
 
+def nice_probability_oracle(g: Graph, sites, p: float, L: float) -> float:
+    """blocks.nice_probability by uniformization, on the oracle requirement
+    rules.  A four-block's order factor is a Poisson(L * total rate)
+    mixture, over the number of site rings, of the chance that a word of
+    that many i.i.d. sites, each drawn in proportion to its ring rate,
+    holds a -> b -> c and e -> c -> b as greedy subsequences."""
+    q = 1.0 - p
+    req = required_goods_pair(g, *sites) if len(sites) == 2 else required_goods_quad(g, tuple(sites))
+    rate = {v: q ** len(A) for v, A in req.items()}
+    good = math.exp(-L * sum(1.0 - r for r in rate.values()))
+    if len(sites) == 2:
+        return good * math.prod(1.0 - math.exp(-L * rate[v]) for v in sites)
+    a, b, c, e = sites
+    first, second = (a, b, c), (e, c, b)
+    total = sum(rate[v] for v in sites)
+    mean = L * total
+    word = {(0, 0): 1.0}  # progress through the two orders after n rings
+    through = 0.0
+    for n in range(int(mean + 40.0 * math.sqrt(mean) + 60.0)):
+        through += math.exp(n * math.log(mean) - mean - math.lgamma(n + 1)) * word.get((3, 3), 0.0)
+        nxt: dict[tuple[int, int], float] = {}
+        for (i, j), prob in word.items():
+            for v in sites:
+                key = (i + (i < 3 and first[i] == v), j + (j < 3 and second[j] == v))
+                nxt[key] = nxt.get(key, 0.0) + prob * rate[v] / total
+        word = nxt
+    return good * through
+
+
+def classical_fitness_samples_oracle(g: Graph, steps: int, burn_in: int, sample_every: int, seed: int) -> np.ndarray:
+    """dynamics.classical_fitness_samples as an argmin over the fitness
+    array each step, with one draw per resampled neighbourhood."""
+    rng = substream(seed, 17)
+    fitness = rng.random(g.num_vertices)
+    nbhd_cache = [list(closed_neighbourhood(g, x)) for x in range(g.num_vertices)]
+    samples: list[np.ndarray] = []
+    for k in range(steps):
+        v = int(np.argmin(fitness))
+        nb = nbhd_cache[v]
+        fitness[nb] = rng.random(len(nb))
+        if k >= burn_in and (k - burn_in) % sample_every == 0:
+            samples.append(fitness.copy())
+    if not samples:
+        raise ValueError("no samples collected; increase steps")
+    return np.concatenate(samples)
+
+
 def propagation_check_oracle(g: Graph, gc: GraphicalConstruction, block, config_bottom) -> PropagationResult:
     """blocks._propagation_check from the niceness oracles and replay_oracle."""
     if isinstance(block, Block2):

@@ -21,9 +21,9 @@ from bslab.dynamics import (
     step_discrete,
 )
 from bslab.exact import build_kernel
-from bslab.graphs import closed_neighbourhood, generate
+from bslab.graphs import closed_neighbourhood, generate, parse_graph_spec
 from bslab.rng import substream
-from oracle_utils import replay_oracle, simulate_continuous
+from oracle_utils import classical_fitness_samples_oracle, replay_oracle, simulate_continuous
 
 
 def test_model_params():
@@ -394,6 +394,39 @@ def test_classical_samples_concentrate_above_half():
     vals = classical_fitness_samples(g, steps=30_000, burn_in=10_000, sample_every=500, seed=59)
     assert vals.min() >= 0 and vals.max() <= 1
     assert (vals < 0.5).mean() < 0.2
+
+
+@pytest.mark.parametrize("spec", ["cycle:10", "path:7", "torus2d:4x4", "complete:5", "torus2d:3x5"])
+@pytest.mark.parametrize("seed", [0, 61, 2**31 - 1])
+def test_classical_samples_match_the_argmin_loop(spec, seed):
+    """The heap of (fitness, vertex) pairs, its rebuilds and the chunked
+    draws give the argmin loop's samples, bit for bit."""
+    g = parse_graph_spec(spec)
+    got = classical_fitness_samples(g, steps=3_000, burn_in=100, sample_every=37, seed=seed)
+    want = classical_fitness_samples_oracle(g, steps=3_000, burn_in=100, sample_every=37, seed=seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_classical_ties_go_to_the_smallest_vertex(monkeypatch):
+    """Uniforms rounded down to quarters tie often; the heap still picks
+    the argmin's vertex, the smallest index of the minimum."""
+
+    class Quarters:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            return np.floor(self.rng.random(size) * 4.0) / 4.0
+
+    import oracle_utils
+    from bslab import dynamics
+
+    for module in (dynamics, oracle_utils):
+        monkeypatch.setattr(module, "substream", lambda *path, base=module.substream: Quarters(base(*path)))
+    g = parse_graph_spec("cycle:12")
+    got = classical_fitness_samples(g, steps=2_000, burn_in=0, sample_every=1, seed=67)
+    want = classical_fitness_samples_oracle(g, steps=2_000, burn_in=0, sample_every=1, seed=67)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)
