@@ -129,8 +129,8 @@ class Run:
     def finish(self) -> None:
         if self.command in _PRINT_ONLY:
             return
-        import mpmath
-        import scipy
+        # the installed versions, read without importing scipy or mpmath
+        from importlib.metadata import version
 
         arguments = {
             k: (str(v) if isinstance(v, Path) else v)
@@ -145,8 +145,8 @@ class Run:
                 "artifact": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "mpmath": mpmath.__version__,
+                "scipy": version("scipy"),
+                "mpmath": version("mpmath"),
             },
             "started_at": self.started_at,
             "wall_time_s": round(time.perf_counter() - self._t0, 3),

@@ -13,17 +13,16 @@ entries (_BLOCK_ENTRIES) and, for a large kernel, converts the upper
 blocks in a forked helper process; the kernel is the same bits as one
 whole-matrix conversion either way.
 
-`stationary` has two routes.  A kernel of at least 2^14 states
-(_LUMP_MIN_STATES) on a graph whose automorphism group is nontrivial is
-lumped onto the state orbits of that group, which the dynamics commute
-with (strong lumpability; Kemeny & Snell, Finite Markov Chains, 1960,
-Sec. 6.3): the orbit chain is solved by GMRES (Saad & Schultz, SIAM J.
-Sci. Stat. Comput. 7, 1986) and lifted back, and its `residual` is the
-true l1 residual of the returned law on the whole kernel.  Every other
-kernel runs power iteration as a row-gather product on P^T and, on a
-large kernel, computes each step's upper rows in a forked helper
-process; the law is the same bits either way, and its `residual` is a
-stopping criterion, not an error bound.
+`stationary` has one route per kernel size, both in this process.  A
+kernel of at least 2^14 states (_LUMP_MIN_STATES) is lumped onto the
+state orbits of the graph's automorphism group, which the dynamics
+commute with (strong lumpability; Kemeny & Snell, Finite Markov Chains,
+1960, Sec. 6.3): the orbit chain is solved by GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986) and lifted back, and its `residual`
+is the true l1 residual of the returned law on the whole kernel.  A
+trivial group gives one orbit per state, and the kernel is its own
+lumping.  A smaller kernel runs power iteration as a row-gather product
+on P^T, and its `residual` is a stopping criterion, not an error bound.
 
 The time-t checks never form the dense 2^n x 2^n P_t: they apply it to a
 set's two indicator columns, by t sparse kernel products (embedded) or by
@@ -32,9 +31,9 @@ SIAM J. Sci. Comput. 33, 2011), so memory stays O(nnz + 2^n).
 
 `scipy.sparse` is slow to import (it loads scipy's array-API layer), so
 `import bslab` does not pay for it: the functions that build, solve or
-apply a kernel import it where they run.  `build_kernel` and `stationary`
-import it first thing, before either can fork a helper, so a helper
-always inherits the loaded module and never runs an import of its own.
+apply a kernel import it where they run.  `build_kernel` imports it first
+thing, before it can fork a helper, so a helper always inherits the
+loaded module and never runs an import of its own.
 """
 from __future__ import annotations
 
@@ -74,12 +73,14 @@ _STATIONARY_TOL = 1e-10
 _STATIONARY_MAX_ITER = 2_000_000
 _MAX_VERTICES = 30  # states and kernel indices are int32
 # memory guard per COO entry: 12 B of kernel (int32 index, float64 value),
-# another 12 B for the transpose `stationary` makes, and 4 B of headroom for
-# one block of scratch, so no kernel refused by the whole-matrix build (16 B
-# of COO + 12 B of CSR per entry) is accepted.  A build split with a helper
-# holds at most 18 B per entry and two blocks of scratch: this process's
-# 12 B of kernel, and the helper's rows, at most 12 B for each of the
-# upper half of the entries, in shared memory until they are copied in
+# another 12 B for the transpose that `stationary`'s power loop makes (the
+# orbit route copies at most the representatives' rows, and nothing on a
+# trivial group), and 4 B of headroom for one block of scratch, so no
+# kernel refused by the whole-matrix build (16 B of COO + 12 B of CSR per
+# entry) is accepted.  A build split with a helper holds at most 18 B per
+# entry and two blocks of scratch: this process's 12 B of kernel, and the
+# helper's rows, at most 12 B for each of the upper half of the entries,
+# in shared memory until they are copied in
 _BYTES_PER_ENTRY = 28
 # most COO entries in one row block (4 MiB of scratch, 3 MiB of block CSR).
 # On a 2-vCPU Xeon guest, cycle:16 then torus2d:4x4, built and solved three
@@ -91,16 +92,17 @@ _BYTES_PER_ENTRY = 28
 # against 0.17-0.21 s
 _BLOCK_ENTRIES = 1 << 18
 _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
-# smallest kernel whose power steps, or build of several blocks, are split
-# with a helper process.  On a 2-vCPU Xeon guest, forking and reaping the
-# helper cost 4-6 ms and a split step saved 0.17-0.74 ms at 0.6 M nonzeros
-# but 0.04 ms at 0.13 M and nothing at 0.06 M
+# smallest kernel, in COO entries, whose build of several row blocks is
+# split with a helper process; on a 2-vCPU Xeon guest, forking and reaping
+# the helper cost 4-6 ms
 _SPLIT_MIN_NNZ = 500_000
 # smallest kernel, in states, that `stationary` solves on the state orbits
-# of the graph's automorphism group when that group is nontrivial.  On a
-# 2-vCPU Xeon guest the lumped solve of cycle:14 took 0.02-0.07 s against
-# the power loop's 0.2 s, cycle:16 0.04 s against 1.0-1.3 s and path:16
-# 0.3-0.4 s against 1.3-2.1 s; smaller kernels keep the power loop's bits
+# of the graph's automorphism group.  On a 2-vCPU Xeon guest the lumped
+# solve of cycle:14 took 0.02-0.07 s against the power loop's 0.2 s,
+# cycle:16 0.04 s against 1.0-1.3 s and path:16 0.3-0.4 s against
+# 1.3-2.1 s.  On regular:16:4 (a trivial group, one orbit per state) it
+# took 0.8-0.9 s against 1.8-1.9 s at p = 0.3, but 1.8-2.2 s against
+# 1.8-2.0 s at p = 0.05; smaller kernels keep the power loop's bits
 _LUMP_MIN_STATES = 1 << 14
 # GMRES passes on the lumped system, each on the residual the previous
 # ones left, before `stationary` gives up on the tolerance
@@ -227,10 +229,10 @@ class _Forked:
         os.close(replies)
         os.sched_setaffinity(0, self.cpus[:-1])
 
-    def wait(self, who: str) -> None:
+    def wait(self) -> None:
         """Wait for the helper's next reply byte; raise if it has exited."""
         if not os.read(self.replies, 1):
-            raise RuntimeError(f"{who}: the helper process has exited")
+            raise RuntimeError("build_kernel: the helper process has exited")
 
     def close(self) -> None:
         os.sched_setaffinity(0, self.cpus)
@@ -304,7 +306,8 @@ def build_kernel(
     The conversion sorts and sums each row on its own, so the kernel is the
     same bits as one whole-matrix conversion.  The build refuses to start
     when 28 B per COO entry exceed physical memory: 12 B of kernel, one
-    block of scratch, and another 12 B for the transpose `stationary` makes.
+    block of scratch, and another 12 B for the transpose that `stationary`'s
+    power loop makes.
 
     A kernel of several blocks and at least 500,000 COO entries
     (_SPLIT_MIN_NNZ), where `os.fork`, two CPUs and no other live thread
@@ -379,7 +382,7 @@ def build_kernel(
             out = (np.zeros(size + 1, idx), np.empty(entries, idx), np.empty(entries, np.float64))
             nnz = _fill_blocks(pats, allones, zero_counts, bounds, scratch, out)
             if helper is not None:
-                helper.wait("build_kernel")
+                helper.wait()
                 nnz = _append(out, nnz, mid, *shared)
                 del shared  # the views, so that the buffer can close
                 buf.close()
@@ -398,53 +401,6 @@ class StationaryDist:
     probs: np.ndarray
     flavor: str
     residual: float
-
-
-def _row_range(kt: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
-    """Rows [start, stop) of kt, sharing its data and indices."""
-    a, b = kt.indptr[start], kt.indptr[stop]
-    indptr = kt.indptr[start : stop + 1] - a
-    return _csr((stop - start, kt.shape[1]), indptr, kt.indices[a:b], kt.data[a:b])
-
-
-def _serve(requests: int, replies: int, upper: sp.csr_matrix, x: np.ndarray, y: np.ndarray) -> None:
-    """The helper's loop: one byte in, y = upper @ x, one byte out; returns
-    at end of file, when the caller has closed its end or exited."""
-    while os.read(requests, 1):
-        y[:] = upper @ x
-        os.write(replies, b"\x01")
-
-
-class _Helper(_Forked):
-    """kt @ x as two row ranges split at half of kt's nonzeros, the upper
-    one computed by a forked helper process while this one computes the
-    lower one.
-
-    x (the step's input) and y (the upper rows of its output) live in one
-    shared anonymous mmap; a byte on one pipe starts a step and a byte on
-    the other reports it done.  Each row sums the same terms in the same
-    order as kt @ x, so the product is the same bits.
-    """
-
-    def __init__(self, kt: sp.csr_matrix) -> None:
-        size = kt.shape[0]
-        self.mid = int(np.searchsorted(kt.indptr, kt.nnz // 2))
-        self.lower = _row_range(kt, 0, self.mid)
-        upper = _row_range(kt, self.mid, size)
-        _, (self.x, self.y) = _shared((np.float64, size), (np.float64, size - self.mid))
-        super().__init__(lambda requests, replies: _serve(requests, replies, upper, self.x, self.y))
-
-    def product(self, x: np.ndarray) -> np.ndarray:
-        self.x[:] = x
-        try:
-            os.write(self.requests, b"\x01")
-        except BrokenPipeError:
-            raise RuntimeError("stationary: the helper process has exited") from None
-        out = np.empty(len(x))
-        out[: self.mid] = self.lower @ x
-        self.wait("stationary")
-        out[self.mid :] = self.y
-        return out
 
 
 def _orbit_labels(n: int, gens) -> np.ndarray:
@@ -491,11 +447,15 @@ def _lumped_stationary(tm: TransitionModel, gens, flavor: str) -> StationaryDist
     reps, orbit = np.unique(labels, return_inverse=True)
     m = len(reps)
     sizes = np.bincount(orbit, minlength=m)
-    # row O of the lumped kernel: a representative's row, with each column
-    # summed into its orbit's; the same for every state of O (strong lumpability)
-    rows = tm.kernel[reps]
-    lumped = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(m, m))
-    lumped.sum_duplicates()
+    if m == len(labels):
+        # one orbit per state: the kernel is its own lumping, used uncopied
+        lumped = tm.kernel
+    else:
+        # row O of the lumped kernel: a representative's row, with each column
+        # summed into its orbit's; the same for every state of O (strong lumpability)
+        rows = tm.kernel[reps]
+        lumped = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(m, m))
+        lumped.sum_duplicates()
     lumped_t = lumped.T
     # (I - P^T + 1 1^T / m) y = 1 has m times the lumped law as its only
     # solution.  Scaled so, y's entries are near 1 like the right-hand
@@ -533,12 +493,14 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
 
     flavor="embedded" solves pi P = pi for the jump chain; flavor
     "continuous" reweights that law by the expected holding times 1/r.
+    Both routes run in this process.
 
-    Lumped route: a kernel of at least 2^14 states (_LUMP_MIN_STATES) on a
-    graph with a nontrivial automorphism group (`graphs.automorphisms`).
-    States are labelled by their orbits under the group, the lumped kernel
-    is a representative's row per orbit with its columns summed by orbit,
-    and (I - P^T + 1 1^T / m) y = 1 over the m orbits is solved by GMRES
+    Lumped route: every kernel of at least 2^14 states (_LUMP_MIN_STATES).
+    States are labelled by their orbits under the graph's automorphism
+    group (`graphs.automorphisms`), the lumped kernel is a representative's
+    row per orbit with its columns summed by orbit (P itself, uncopied,
+    when the group is trivial and every orbit is one state), and
+    (I - P^T + 1 1^T / m) y = 1 over the m orbits is solved by GMRES
     (restart 60, rtol 1e-14).  The law is y lifted to the states,
     pi(s) = y(O(s)) / |O(s)|, normalised, and reweighted by 1/r for the
     continuous flavor (exit rates are constant on orbits).  `residual` is
@@ -548,26 +510,15 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
     residual the passes before it left) run until that residual is below
     1e-10; otherwise the call raises RuntimeError.
 
-    Power route: every other kernel.  For flavor="embedded" `residual` is the
-    l1 change of the last power step, which stops the iteration below 1e-10:
-    a stopping criterion, not an error bound (at p = 0.3 the true l1 error
-    measured 9x the residual on cycle:10, 26x on cycle:16).  flavor="continuous"
+    Power route: every smaller kernel.  For flavor="embedded" `residual` is
+    the l1 change of the last power step, which stops the iteration below
+    1e-10: a stopping criterion, not an error bound (at p = 0.3 the true l1
+    error measured 9x the residual on cycle:10).  flavor="continuous"
     reports the l1 flux residual |(pi r) P - pi r|_1 of the reweighted
     law, after iterating until the embedded residual over sum(pi/r) is
     below 1e-10.  Each step is a row-gather product on P^T, transposed
-    once per call.  On a kernel
-    of at least 500,000 nonzeros (_SPLIT_MIN_NNZ), where `os.fork`, two
-    CPUs and no other live thread allow it, each step is computed as two
-    row ranges split at half of P^T's nonzeros: a helper process, forked
-    once after the transpose, computes the upper range while this process
-    computes the lower one, up to the continuous flavor's flux product.
-    This process alone normalises, tests for convergence and reweights.
-    The result is the same bits with or without the helper.
+    once per call.
     """
-    # slow to import; imported here, before any helper forks, so that a
-    # helper never runs an import of its own
-    import scipy.sparse  # noqa: F401
-
     if flavor not in FLAVORS:
         raise ValueError("flavor must be 'embedded' or 'continuous'")
     size = tm.kernel.shape[0]
@@ -576,37 +527,29 @@ def stationary(tm: TransitionModel, flavor: str = "embedded") -> StationaryDist:
         pi[size - 1] = 1.0
         return StationaryDist(pi, flavor, 0.0)
     if size >= _LUMP_MIN_STATES:
-        gens = automorphisms(tm.graph)
-        if gens:
-            return _lumped_stationary(tm, gens, flavor)
+        return _lumped_stationary(tm, automorphisms(tm.graph), flavor)
     kt = tm.kernel.T.tocsr()
-    helper = _Helper(kt) if _helper_allowed(kt.nnz) else None
-    product = (lambda x: kt @ x) if helper is None else helper.product
     pi = np.full(size, 1.0 / size)
     residual = np.inf
-    try:
-        for _ in range(_STATIONARY_MAX_ITER):
-            nxt = product(pi)
-            nxt /= nxt.sum()
-            residual = float(np.abs(nxt - pi).sum())
-            pi = nxt
-            if residual < _STATIONARY_TOL:
-                if flavor == "embedded":
-                    break
-                # the reweighted flux residual is residual / sum(pi/r); keep
-                # iterating until that, not the embedded residual, meets the tolerance
-                if residual / float((pi / tm.exit_rates).sum()) < _STATIONARY_TOL:
-                    break
-        else:
-            raise RuntimeError(f"power iteration did not reach tol={_STATIONARY_TOL}")
-        if flavor == "continuous":
-            weights = pi / tm.exit_rates
-            pi = weights / weights.sum()
-            flux = pi * tm.exit_rates
-            residual = float(np.abs(product(flux) - flux).sum())
-    finally:
-        if helper is not None:
-            helper.close()
+    for _ in range(_STATIONARY_MAX_ITER):
+        nxt = kt @ pi
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if residual < _STATIONARY_TOL:
+            if flavor == "embedded":
+                break
+            # the reweighted flux residual is residual / sum(pi/r); keep
+            # iterating until that, not the embedded residual, meets the tolerance
+            if residual / float((pi / tm.exit_rates).sum()) < _STATIONARY_TOL:
+                break
+    else:
+        raise RuntimeError(f"power iteration did not reach tol={_STATIONARY_TOL}")
+    if flavor == "continuous":
+        weights = pi / tm.exit_rates
+        pi = weights / weights.sum()
+        flux = pi * tm.exit_rates
+        residual = float(np.abs(kt @ flux - flux).sum())
     return StationaryDist(pi, flavor, residual)
 
 

@@ -165,7 +165,10 @@ def _random_regular(n: int, d: int, seed: int | None) -> Graph:
             return build_graph(n, pairs)
         except ValueError:
             continue
-    raise RuntimeError("random_regular: no simple connected pairing found")
+    raise ValueError(
+        f"random_regular: no simple connected pairing of n = {n}, d = {d} "
+        f"in {_REGULAR_ATTEMPTS} attempts"
+    )
 
 
 def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -232,6 +232,41 @@ def test_simulate_without_files_still_records_its_run(tmp_path):
     assert man["outputs"] == []
 
 
+def test_manifest_versions_load_neither_scipy_nor_mpmath(tmp_path):
+    """A simulate run needs neither scipy nor mpmath, and its manifest
+    reads their versions from the installed package metadata, so neither
+    module is imported; the strings are the modules' own."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bslab.__file__)))
+    out = tmp_path / "run"
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); from bslab.cli import main; "
+        f"rc = main(['simulate', '--graph', 'cycle:5', '--p', '0.4', '--seed', '2', "
+        f"'--flavor', 'embedded', '--steps', '20', '--out', {str(out)!r}]); "
+        f"loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')); "
+        f"import scipy, mpmath; "
+        f"print(json.dumps([rc, loaded, scipy.__version__, mpmath.__version__]))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rc, loaded, scipy_version, mpmath_version = json.loads(res.stdout.splitlines()[-1])
+    assert rc == 0
+    assert loaded == []
+    versions = read_manifest(out)["versions"]
+    assert (versions["scipy"], versions["mpmath"]) == (scipy_version, mpmath_version)
+    assert versions["numpy"] == np.__version__
+
+
+def test_exact_on_an_undrawable_regular_graph_exits_2(tmp_path, capsys):
+    """Six-regular pairings on 12 vertices are almost never simple: the
+    draw gives up, and the command reports it as a bad argument."""
+    rc = main(["exact", "--graph", "regular:12:6", "--p", "0.3", "--seed", "1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n = 12, d = 6" in err and "1000 attempts" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_drift_cli(tmp_path, capsys):
     rc = main(["drift", "--graph", "cycle:6", "--q", "0.3", "--seed", "1",
                "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bslab.exact import (
     stationary,
     tail_geometric_fit,
 )
-from bslab.graphs import generate, parse_graph_spec
+from bslab.graphs import automorphisms, generate, parse_graph_spec
 from bslab.rng import substream
 from oracle_utils import dense_transition_t, stationary_oracle
 
@@ -250,19 +251,20 @@ def test_tail_geometric_fit_recovers_synthetic_slope():
     assert fit.rms < 0.1
 
 
-LUMPED_GRAPHS = [f"cycle:{n}" for n in range(5, 13)] + ["torus2d:3x3", "complete:6", "path:7"]
+# regular:10:4 (seed 1) has no automorphism but the identity
+LUMPED_GRAPHS = [f"cycle:{n}" for n in range(5, 13)] + ["torus2d:3x3", "complete:6", "path:7", "regular:10:4"]
 
 
 @pytest.fixture
 def lumped(monkeypatch):
-    """Every kernel on a graph with a nontrivial group takes the lumped route."""
+    """Every kernel takes the lumped route."""
     monkeypatch.setattr(exact, "_LUMP_MIN_STATES", 0)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
 @pytest.mark.parametrize("spec", LUMPED_GRAPHS)
 def test_lumped_stationary_matches_the_power_loop(lumped, spec, p):
-    g = parse_graph_spec(spec)
+    g = parse_graph_spec(spec, seed=1)
     tm = build_kernel(g, ModelParams(p=p))
     for flavor in ("embedded", "continuous"):
         sd = stationary(tm, flavor=flavor)
@@ -274,7 +276,7 @@ def test_lumped_stationary_matches_the_power_loop(lumped, spec, p):
         # the residual is the law's own, on the whole kernel
         law = sd.probs * (tm.exit_rates if flavor == "continuous" else 1.0)
         assert sd.residual == pytest.approx(np.abs(law @ tm.kernel - law).sum(), rel=1e-6, abs=1e-15)
-        if not spec.startswith("path"):
+        if not spec.startswith(("path", "regular")):
             v1 = marginals(sd, g).vertex_one
             assert v1.max() - v1.min() <= 1e-12
 
@@ -289,13 +291,66 @@ def test_lumped_solve_that_goes_nowhere_raises(lumped, monkeypatch):
             stationary(tm, flavor=flavor)
 
 
-def test_trivial_group_at_the_gate_keeps_the_power_loop_bits():
-    """regular:14:4 (seed 1) has 2^14 states and no automorphism but the
-    identity, so it solves by power iteration, to the oracle's bits."""
+@pytest.fixture(scope="module")
+def regular14():
+    """regular:14:4 (seed 1): 2^14 states, at the orbit gate, 2.7 M kernel
+    nonzeros, and no automorphism but the identity."""
     g = parse_graph_spec("regular:14:4", seed=1)
     tm = build_kernel(g, ModelParams(p=0.3))
-    assert tm.kernel.shape[0] == exact._LUMP_MIN_STATES
+    assert automorphisms(g) == () and tm.kernel.shape[0] == exact._LUMP_MIN_STATES
+    return tm
+
+
+def test_trivial_group_at_the_gate_takes_the_orbit_route(regular14, monkeypatch):
+    """One orbit per state: the orbit route solves the kernel itself, to
+    within 1e-8 in l1 of the power loop and a true residual below 1e-10."""
+    groups, lumped_stationary = [], exact._lumped_stationary
+
+    def recorded(tm, gens, flavor):
+        groups.append(gens)
+        return lumped_stationary(tm, gens, flavor)
+
+    monkeypatch.setattr(exact, "_lumped_stationary", recorded)
+    tm = regular14
     for flavor in ("embedded", "continuous"):
         sd, ref = stationary(tm, flavor=flavor), stationary_oracle(tm, flavor=flavor)
-        assert sd.probs.tobytes() == ref.probs.tobytes()
-        assert sd.residual == ref.residual
+        assert np.abs(sd.probs - ref.probs).sum() <= 1e-8
+        law = sd.probs * (tm.exit_rates if flavor == "continuous" else 1.0)
+        assert sd.residual < 1e-10
+        assert np.abs(law @ tm.kernel - law).sum() < 1e-10
+    assert groups == [(), ()]
+
+
+def test_stationary_forks_nothing(regular14, monkeypatch):
+    """Kernels large enough for a split build solve in this process, at
+    the orbit gate (regular:14:4) and below it (regular:13:4, 1.2 M
+    nonzeros, the power loop)."""
+    below = build_kernel(parse_graph_spec("regular:13:4", seed=1), ModelParams(p=0.3))
+    assert below.kernel.shape[0] < exact._LUMP_MIN_STATES
+
+    def no_fork():
+        raise AssertionError("stationary forked")
+
+    monkeypatch.setattr(exact.os, "fork", no_fork)
+    for tm in (regular14, below):
+        assert tm.kernel.nnz >= exact._SPLIT_MIN_NNZ
+        for flavor in ("embedded", "continuous"):
+            assert stationary(tm, flavor=flavor).residual < exact._STATIONARY_TOL
+
+
+@pytest.mark.parametrize("flavor", ["embedded", "continuous"])
+def test_trivial_group_orbit_solve_copies_no_kernel(regular14, flavor):
+    """With one orbit per state the kernel is its own lumping: the solve
+    peaks below 6 B per kernel nonzero, most of it the GMRES basis of 61
+    vectors (3 B).  Lumping through a copy of every row (12 B) and its
+    int64 column orbits (8 B) would not fit."""
+    import scipy.sparse.linalg  # noqa: F401  (its import is not the solve's)
+
+    tracemalloc.start()
+    try:
+        sd = stationary(regular14, flavor=flavor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.residual < exact._STATIONARY_TOL
+    assert peak < 6 * regular14.kernel.nnz, peak / regular14.kernel.nnz

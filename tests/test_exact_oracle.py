@@ -65,11 +65,10 @@ def test_row_blocked_kernel_matches_oracle_bitwise(monkeypatch, block, spec, p, 
     assert tm.kernel.has_canonical_format == ref.kernel.has_canonical_format
 
 
-def test_row_blocked_kernel_solves_to_the_same_bits_through_the_helper(monkeypatch):
-    """A kernel of many row blocks, solved with the split power step where
-    this host allows one, against the pi @ P loop on the oracle kernel."""
+def test_row_blocked_kernel_solves_to_the_same_bits(monkeypatch):
+    """A kernel of many row blocks, solved by the power loop, against the
+    pi @ P loop on the oracle kernel."""
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 4096)
-    monkeypatch.setattr(exact, "_SPLIT_MIN_NNZ", 0)
     g, params = parse_graph_spec("cycle:12"), ModelParams(p=0.3)
     sd = stationary(build_kernel(g, params), flavor="continuous")
     ref = stationary_oracle(kernel_oracle(g, params), flavor="continuous")

@@ -25,6 +25,7 @@ from bslab.graphs import (
     parse_graph_spec,
     shortest_path,
 )
+from oracle_utils import stationary_oracle
 
 
 def test_cycle_structure():
@@ -330,20 +331,27 @@ def test_orbit_counts_match_burnside(spec, count):
     assert len(np.unique(labels)) == count
 
 
-def test_random_regular_graph_has_no_generators_and_takes_the_power_route(monkeypatch):
+def test_random_regular_graph_has_no_generators_and_takes_the_orbit_route(monkeypatch):
+    """A trivial group lumps to one orbit per state, and the orbit route
+    solves the whole kernel to within 1e-8 in l1 of the power loop, with a
+    true residual below 1e-10."""
     g = parse_graph_spec("regular:16:3", seed=1)
     assert automorphisms(g) == ()
+    groups, lumped_stationary = [], exact._lumped_stationary
 
-    def no_lumping(*args):
-        raise AssertionError("the lumped route ran")
+    def recorded(tm, gens, flavor):
+        groups.append(gens)
+        return lumped_stationary(tm, gens, flavor)
 
-    # the power loop, cut short, is the route that raises
-    monkeypatch.setattr(exact, "_lumped_stationary", no_lumping)
-    monkeypatch.setattr(exact, "_STATIONARY_MAX_ITER", 2)
+    monkeypatch.setattr(exact, "_lumped_stationary", recorded)
     tm = build_kernel(g, ModelParams(p=0.3))
     assert tm.kernel.shape[0] >= exact._LUMP_MIN_STATES
-    with pytest.raises(RuntimeError, match="power iteration"):
-        stationary(tm, flavor="continuous")
+    sd = stationary(tm, flavor="continuous")
+    assert groups == [()]
+    assert np.abs(sd.probs - stationary_oracle(tm, flavor="continuous").probs).sum() <= 1e-8
+    flux = sd.probs * tm.exit_rates
+    assert sd.residual < 1e-10
+    assert np.abs(flux @ tm.kernel - flux).sum() < 1e-10
 
 
 def test_automorphisms_of_a_long_path_need_no_deep_recursion():

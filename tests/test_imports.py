@@ -1,6 +1,6 @@
 """Import discipline: `import bslab` loads numpy but no scipy module and no
-process pool, and the kernel paths that load scipy.sparse do so before
-any helper process forks, so that no helper runs an import of its own."""
+process pool, and the split kernel build loads scipy.sparse before its
+helper process forks, so that the helper runs no import of its own."""
 import json
 import subprocess
 import sys
@@ -103,26 +103,6 @@ def test_split_build_loads_scipy_sparse_before_its_helper_forks():
         }))
     """)
     assert out["fresh"]
-    assert out["loaded_at_fork"] == [True]
-    assert out["helper_imports"] == []
-    assert out["same"]
-
-
-@needs_helper
-def test_split_power_step_loads_scipy_sparse_before_its_helper_forks():
-    out = _fresh(_WATCH, """
-        tm = exact.build_kernel(g, params)  # one block: no helper
-        exact._SPLIT_MIN_NNZ = 0
-        sd = exact.stationary(tm, flavor="continuous")
-        from oracle_utils import stationary_oracle
-
-        ref = stationary_oracle(tm, flavor="continuous")
-        print(json.dumps({
-            "loaded_at_fork": loaded_at_fork,
-            "helper_imports": helper_imports(),
-            "same": bool((sd.probs == ref.probs).all()) and sd.residual == ref.residual,
-        }))
-    """)
     assert out["loaded_at_fork"] == [True]
     assert out["helper_imports"] == []
     assert out["same"]
