@@ -9,8 +9,8 @@ expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
 
 `build_kernel` assembles the kernel in row blocks of at most 2^18 COO
-entries (_BLOCK_ENTRIES) and, for a large kernel, converts the upper
-blocks in a forked helper process; the kernel is the same bits as one
+entries (_BLOCK_ENTRIES) and converts the blocks of a larger kernel on
+worker threads of this process; the kernel is the same bits as one
 whole-matrix conversion either way.
 
 `stationary` has one route per kernel size, both in this process.  A
@@ -31,16 +31,14 @@ SIAM J. Sci. Comput. 33, 2011), so memory stays O(nnz + 2^n).
 
 `scipy.sparse` is slow to import (it loads scipy's array-API layer), so
 `import bslab` does not pay for it: the functions that build, solve or
-apply a kernel import it where they run.  `build_kernel` imports it first
-thing, before it can fork a helper, so a helper always inherits the
-loaded module and never runs an import of its own.
+apply a kernel import it where they run, and `build_kernel` imports its
+thread pool only for a kernel of several blocks.
 """
 from __future__ import annotations
 
-import mmap
 import os
-import signal
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -75,27 +73,23 @@ _MAX_VERTICES = 30  # states and kernel indices are int32
 # memory guard per COO entry: 12 B of kernel (int32 index, float64 value),
 # another 12 B for the transpose that `stationary`'s power loop makes (the
 # orbit route copies at most the representatives' rows, and nothing on a
-# trivial group), and 4 B of headroom for one block of scratch, so no
-# kernel refused by the whole-matrix build (16 B of COO + 12 B of CSR per
-# entry) is accepted.  A build split with a helper holds at most 18 B per
-# entry and two blocks of scratch: this process's 12 B of kernel, and the
-# helper's rows, at most 12 B for each of the upper half of the entries,
-# in shared memory until they are copied in
+# trivial group), and 4 B of headroom for the build's blocks in flight, so
+# no kernel refused by the whole-matrix build (16 B of COO + 12 B of CSR
+# per entry) is accepted.  The threaded build holds the kernel's 12 B per
+# entry, a scratch triple for each worker, and at most two block CSRs for
+# each worker plus the one being copied; none of these grows with the kernel
 _BYTES_PER_ENTRY = 28
 # most COO entries in one row block (4 MiB of scratch, 3 MiB of block CSR).
-# On a 2-vCPU Xeon guest, cycle:16 then torus2d:4x4, built and solved three
-# times in one process, peaked at 375-377 MB with blocks of 2^18 entries and
-# 396-398 MB with 2^20, split or not (520 MB whole-matrix): freed blocks of
-# the larger size stay in the heap.  The torus2d:4x4 build took 0.86-1.15 s
-# serial and 0.53-0.69 s split at 2^18, against 0.81-1.36 s and 0.68-0.94 s
-# at 2^20; cycle:16's split build (16 blocks at 2^18) took 0.13-0.16 s,
-# against 0.17-0.21 s
+# On a 2-vCPU Xeon guest, with two worker threads, the bench's `exhaustive`
+# workload peaked at 247-248 MB with blocks of 2^16 entries, 254-255 MB
+# with 2^17 and 265-269 MB with 2^18, while its traced build took
+# 0.54-0.69 s, 0.47-0.56 s and 0.49-0.61 s and its pass 0.80-0.85 s,
+# 0.67-0.80 s and 0.66-0.76 s.  In ten alternating pairs of processes,
+# cycle:16 then torus2d:4x4 built in a median 0.577 s at 2^17 against
+# 0.566 s at 2^18 (cycle:16 alone 0.111 s against 0.100 s): smaller blocks
+# lower the peak but cost more per-block overhead than the build can spare
 _BLOCK_ENTRIES = 1 << 18
 _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
-# smallest kernel, in COO entries, whose build of several row blocks is
-# split with a helper process; on a 2-vCPU Xeon guest, forking and reaping
-# the helper cost 4-6 ms
-_SPLIT_MIN_NNZ = 500_000
 # smallest kernel, in states, that `stationary` solves on the state orbits
 # of the graph's automorphism group.  On a 2-vCPU Xeon guest the lumped
 # solve of cycle:14 took 0.02-0.07 s against the power loop's 0.2 s,
@@ -183,65 +177,6 @@ def _block_csr(pats, allones: str, zero_counts: np.ndarray, a: int, b: int, scra
     return sp.coo_matrix((vals[:at], (rows[:at], cols[:at])), shape=(b - a, size)).tocsr()
 
 
-def _helper_allowed(nnz: int) -> bool:
-    return (
-        nnz >= _SPLIT_MIN_NNZ
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_setaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-class _Forked:
-    """A helper process forked from this one, running work(requests,
-    replies) on the read end of one pipe and the write end of another.
-
-    The helper runs on the last CPU of this process's affinity set and this
-    process on the others until `close`: unpinned, the woken helper tended
-    to preempt this process on its own CPU.  The helper leaves only through
-    os._exit, so it never flushes the caller's stdio buffers or runs its
-    exit handlers.  `close` restores the affinity, closes this process's
-    pipe ends, kills the helper if it is still running and reaps it.
-    """
-
-    def __init__(self, work) -> None:
-        self.cpus = sorted(os.sched_getaffinity(0))
-        requests, self.requests = os.pipe()
-        self.replies, replies = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (requests, self.requests, self.replies, replies):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.sched_setaffinity(0, self.cpus[-1:])
-                os.close(self.requests)
-                os.close(self.replies)
-                work(requests, replies)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(requests)
-        os.close(replies)
-        os.sched_setaffinity(0, self.cpus[:-1])
-
-    def wait(self) -> None:
-        """Wait for the helper's next reply byte; raise if it has exited."""
-        if not os.read(self.replies, 1):
-            raise RuntimeError("build_kernel: the helper process has exited")
-
-    def close(self) -> None:
-        os.sched_setaffinity(0, self.cpus)
-        os.close(self.requests)
-        os.close(self.replies)
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-
 def _append(out, nnz: int, row: int, indptr, indices, data) -> int:
     """Copy CSR rows (indptr, indices, data) into the CSR arrays `out`, as
     their rows from `row` on and after their first nnz entries; returns
@@ -252,30 +187,6 @@ def _append(out, nnz: int, row: int, indptr, indices, data) -> int:
     out_data[nnz:end] = data[: end - nnz]
     np.add(indptr[1:], nnz, out=out_indptr[row + 1 : row + len(indptr)])
     return end
-
-
-def _fill_blocks(pats, allones: str, zero_counts: np.ndarray, bounds, scratch, out) -> int:
-    """Convert the row blocks between consecutive `bounds` to CSR and copy
-    them into the CSR arrays `out`, whose first row is bounds[0]; returns
-    the nonzeros written."""
-    nnz = 0
-    for a, b in zip(bounds, bounds[1:]):
-        part = _block_csr(pats, allones, zero_counts, a, b, scratch)
-        nnz = _append(out, nnz, a - bounds[0], part.indptr, part.indices, part.data)
-        del part  # before the next block's CSR is allocated
-    return nnz
-
-
-def _shared(*specs):
-    """A shared anonymous mmap and, in it, one array for each (dtype,
-    length) of `specs`, laid out in that order: callers put the float64
-    arrays first, so that every array is aligned to its item size."""
-    buf = mmap.mmap(-1, sum(np.dtype(dtype).itemsize * length for dtype, length in specs))
-    arrays, at = [], 0
-    for dtype, length in specs:
-        arrays.append(np.frombuffer(buf, dtype, length, at))
-        at += arrays[-1].nbytes
-    return buf, arrays
 
 
 def _csr(shape, indptr, indices, data) -> sp.csr_matrix:
@@ -299,30 +210,21 @@ def build_kernel(
     """Assemble the sparse embedded kernel for all 2^n states.
 
     Rows are assembled in blocks of at most _BLOCK_ENTRIES COO entries (or
-    one row, if a row holds more).  Each block is filled into one reused
+    one row, if a row holds more).  Each block is filled into an
     int32/int32/float64 scratch triple and converted to CSR; a kernel of
-    one block is that CSR, and the blocks of a larger one are copied into
-    kernel arrays allocated once at the COO length.
-    The conversion sorts and sums each row on its own, so the kernel is the
-    same bits as one whole-matrix conversion.  The build refuses to start
-    when 28 B per COO entry exceed physical memory: 12 B of kernel, one
-    block of scratch, and another 12 B for the transpose that `stationary`'s
-    power loop makes.
-
-    A kernel of several blocks and at least 500,000 COO entries
-    (_SPLIT_MIN_NNZ), where `os.fork`, two CPUs and no other live thread
-    allow it, is built by two processes: a helper forked for this call
-    converts the upper blocks, from half of the COO entries on, into shared
-    memory while this process converts the lower ones into the kernel
-    arrays, then copies the helper's rows in after its own.  Every block
-    goes through the same conversion, so the kernel is the same bits and
-    made of private arrays; the helper is reaped before the call returns or
-    raises, and a helper that exits without its rows makes the call raise.
+    one block is that CSR.  The blocks of a larger kernel are converted on
+    min(CPUs in the affinity set, blocks) worker threads of this process,
+    each with a scratch triple of its own (scipy's conversion releases the
+    GIL), at most two blocks per worker ahead of the caller, which copies
+    each finished block into kernel arrays allocated once at the COO
+    length, in row order.  The conversion sorts and sums each row on its
+    own, so the kernel is the same bits as one whole-matrix conversion and
+    is made of private arrays.  An error in a worker is raised by the
+    call, after every worker has stopped.  The build refuses to start when
+    28 B per COO entry exceed physical memory: 12 B of kernel, the blocks
+    in flight, and another 12 B for the transpose that `stationary`'s power
+    loop makes.
     """
-    # slow to import; imported here, before any helper forks, so that a
-    # helper never runs an import of its own
-    import scipy.sparse  # noqa: F401
-
     n = g.num_vertices
     if n > budget:
         raise ValueError(f"state space 2^{n} exceeds budget 2^{budget}")
@@ -357,38 +259,42 @@ def build_kernel(
         b = int(np.searchsorted(starts, starts[a] + _BLOCK_ENTRIES, side="right")) - 1
         bounds.append(max(a + 1, b))
     cap = int(np.diff(starts[bounds]).max())
-    scratch = (np.empty(cap, np.int32), np.empty(cap, np.int32), np.empty(cap, np.float64))
+
+    def scratch():
+        return np.empty(cap, np.int32), np.empty(cap, np.int32), np.empty(cap, np.float64)
+
     if len(bounds) == 2:
-        kernel = _block_csr(pats, allones, zero_counts, 0, size, scratch)
+        kernel = _block_csr(pats, allones, zero_counts, 0, size, scratch())
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a kernel of several blocks needs it
+
+        blocks = list(zip(bounds, bounds[1:]))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cpus, len(blocks))
+        own = threading.local()
+
+        def convert(a: int, b: int) -> sp.csr_matrix:
+            if not hasattr(own, "scratch"):
+                own.scratch = scratch()
+            return _block_csr(pats, allones, zero_counts, a, b, own.scratch)
+
         idx = np.int32 if entries <= np.iinfo(np.int32).max else np.int64
-        helper = None
-        if _helper_allowed(entries):
-            # the helper converts the blocks from the first bound at or past
-            # half of the entries; each process converts at least one block
-            cut = min(int(np.searchsorted(starts[bounds], entries // 2)), len(bounds) - 2)
-            mid, upper = bounds[cut], bounds[cut:]
-            room = int(entries - starts[mid])
-            buf, shared = _shared((np.float64, room), (idx, room), (idx, size - mid + 1))
-            shared.reverse()  # indptr, indices, data
-
-            def convert(requests: int, replies: int) -> None:
-                _fill_blocks(pats, allones, zero_counts, upper, scratch, shared)
-                os.write(replies, b"\x01")
-
-            helper = _Forked(convert)
-            bounds = bounds[: cut + 1]
+        out = (np.zeros(size + 1, idx), np.empty(entries, idx), np.empty(entries, np.float64))
+        nnz = 0
+        pool = ThreadPoolExecutor(workers)
         try:
-            out = (np.zeros(size + 1, idx), np.empty(entries, idx), np.empty(entries, np.float64))
-            nnz = _fill_blocks(pats, allones, zero_counts, bounds, scratch, out)
-            if helper is not None:
-                helper.wait()
-                nnz = _append(out, nnz, mid, *shared)
-                del shared  # the views, so that the buffer can close
-                buf.close()
+            # blocks are converted at most two per worker ahead of the copy,
+            # so that finished block CSRs cannot pile up
+            ahead = 2 * workers
+            pending = deque(pool.submit(convert, a, b) for a, b in blocks[:ahead])
+            for i, (a, _) in enumerate(blocks):
+                part = pending.popleft().result()
+                if i + ahead < len(blocks):
+                    pending.append(pool.submit(convert, *blocks[i + ahead]))
+                nnz = _append(out, nnz, a, part.indptr, part.indices, part.data)
+                del part  # before a later block's CSR is allocated
         finally:
-            if helper is not None:
-                helper.close()
+            pool.shutdown(cancel_futures=True)
         kernel = _csr((size, size), out[0], out[1][:nnz], out[2][:nnz])
         kernel.has_canonical_format = True
     exit_rates = zero_counts.astype(np.float64)

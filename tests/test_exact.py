@@ -322,9 +322,9 @@ def test_trivial_group_at_the_gate_takes_the_orbit_route(regular14, monkeypatch)
 
 
 def test_stationary_forks_nothing(regular14, monkeypatch):
-    """Kernels large enough for a split build solve in this process, at
-    the orbit gate (regular:14:4) and below it (regular:13:4, 1.2 M
-    nonzeros, the power loop)."""
+    """Kernels of many row blocks, built on threads, solve in this
+    process, at the orbit gate (regular:14:4) and below it (regular:13:4,
+    1.2 M nonzeros, the power loop)."""
     below = build_kernel(parse_graph_spec("regular:13:4", seed=1), ModelParams(p=0.3))
     assert below.kernel.shape[0] < exact._LUMP_MIN_STATES
 
@@ -333,7 +333,7 @@ def test_stationary_forks_nothing(regular14, monkeypatch):
 
     monkeypatch.setattr(exact.os, "fork", no_fork)
     for tm in (regular14, below):
-        assert tm.kernel.nnz >= exact._SPLIT_MIN_NNZ
+        assert tm.kernel.nnz > 2 * exact._BLOCK_ENTRIES
         for flavor in ("embedded", "continuous"):
             assert stationary(tm, flavor=flavor).residual < exact._STATIONARY_TOL
 

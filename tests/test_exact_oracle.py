@@ -94,13 +94,13 @@ def test_row_blocked_build_peaks_below_sixteen_bytes_per_entry(monkeypatch):
 
 
 def test_one_process_row_blocked_build_peaks_below_sixteen_bytes_per_entry(monkeypatch):
-    """The guard above with the build kept in this process: where a helper
-    converts half of the blocks, tracemalloc sees neither the helper nor
-    its shared buffer, so this traces every block's CSR and scratch."""
+    """The guard above on four worker threads, more than this host may
+    have CPUs: tracemalloc traces numpy's allocations on every thread, so
+    this counts each worker's scratch and every block CSR in flight."""
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 2**14)
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     g, params = parse_graph_spec("cycle:14"), ModelParams(p=0.3)
     entries = exact._kernel_entries(g, "resample")
-    monkeypatch.setattr(exact, "_SPLIT_MIN_NNZ", entries + 1)
     tracemalloc.start()
     try:
         tm = build_kernel(g, params)
