@@ -20,10 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import block2_nice_lb, stick_good_lb, theta_4block
-from .dynamics import GraphicalConstruction, ModelParams, _check_configuration, _graphical_chunks, replay
+from .dynamics import (
+    GraphicalConstruction,
+    ModelParams,
+    _check_configuration,
+    _graphical_chunks,
+    replay,
+    sample_graphical_batch,
+)
 from .graphs import Graph, closed_neighbourhood
 from .montecarlo import Estimate, estimate_from_samples
-from .percolation import StripField, sites_at_level
+from .percolation import LevelSet, StripField, evolve, sites_at_level
 from .rng import Stream, substream
 
 __all__ = [
@@ -51,6 +58,8 @@ __all__ = [
     "sample_block2_stats",
     "sample_block4_stats",
     "chain_to_percolation",
+    "CouplingReport",
+    "coupling_check",
 ]
 
 _EPS = 1e-9
@@ -715,3 +724,66 @@ def chain_to_percolation(
         bl.append(np.array([m >= 1 and nice(m - 1, n + 1) for m in ms], dtype=bool))
         br.append(np.array([m < 2 * N and nice(m + 1, n + 1) for m in ms], dtype=bool))
     return StripField(N, levels, tuple(bl), tuple(br), None)
+
+
+@dataclass(frozen=True)
+class CouplingReport:
+    """Outcome of coupling_check: `claims` (sample, level, strip site)
+    triples were checked, `violations` of them failed, the first failure
+    in sample, level, site order is `first_violation`, and `reached_top`
+    samples have a strip site reachable at the top level."""
+
+    claims: int
+    violations: int
+    first_violation: tuple[int, int, int] | None
+    reached_top: int
+
+
+def coupling_check(
+    g: Graph,
+    chain,
+    params: ModelParams,
+    L: float,
+    levels: int,
+    n_samples: int,
+    seed: int,
+    flavor: str = "two_block",
+    config0=None,
+) -> CouplingReport:
+    """The coupling with oriented percolation, composed on one realization.
+
+    Each sample is one graphical construction on (0, (levels + 1) L],
+    replayed from config0 (all zeros by default) with snapshots at L, 2L,
+    ..., (levels + 1) L, and mapped to a bond field by
+    chain_to_percolation.  The watched ends of strip site m are the first
+    and last chain sites of its _STRIP_CELLS cell.  B0 holds the level-0
+    sites whose watched ends are both zero at time L.  The claim: for k = 1
+    .. levels, every site of evolve(field, B0, k) has both watched ends
+    zero at time (k + 1) L, the end of its cell's window.
+    """
+    if flavor not in _STRIP_CELLS:
+        raise ValueError(f"flavor must be one of {tuple(_STRIP_CELLS)}")
+    if levels < 1:
+        raise ValueError("need at least one level")
+    config = np.zeros(g.num_vertices, np.uint8) if config0 is None else _check_configuration(g, config0)
+    stride, width, _ = _STRIP_CELLS[flavor]
+    snapshot_times = [(k + 1) * L for k in range(levels + 1)]
+    claims = violations = reached = 0
+    first = None
+    for s, gc in enumerate(sample_graphical_batch(g, params, (levels + 1) * L, n_samples, seed)):
+        field = chain_to_percolation(g, chain, gc, L, flavor)
+        ms = np.arange(2 * field.N + 1)
+        ends = np.array(chain)[np.stack([stride * ms, stride * ms + width - 1])]
+        snaps = replay(g, config, gc, snapshot_times, collect_log=False).snapshots
+        # zero_ends[k][m]: both watched ends of strip site m are zero at (k + 1) L
+        zero_ends = [(snap[ends] == 0).all(axis=0) for snap in snaps]
+        start = LevelSet(field.N, 0, zero_ends[0][sites_at_level(field.N, 0)])
+        for k in range(1, levels + 1):
+            sites = evolve(field, start, k).sites
+            bad = sites[~zero_ends[k][sites]]
+            claims += len(sites)
+            violations += len(bad)
+            if len(bad) and first is None:
+                first = (s, k, int(bad[0]))
+        reached += len(sites) > 0
+    return CouplingReport(claims, violations, first, reached)

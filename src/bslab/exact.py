@@ -8,10 +8,12 @@ The continuous-time stationary law reweights the embedded one by the
 expected holding time 1/r(state), where r is the number of zeros, or n at
 all-ones under the `resample` semantics.
 
-`build_kernel` assembles the kernel in row blocks of at most 2^18 COO
-entries (_BLOCK_ENTRIES) and converts the blocks of a larger kernel on
-worker threads of this process; the kernel is the same bits as one
-whole-matrix conversion either way.
+`build_kernel` assembles the kernel in row blocks of a fixed number of
+rows, at most 393,216 slots (_BLOCK_ENTRIES), where every row has one slot
+per resample outcome of every site.  Each block is one in-row sort of
+unique (column, slot) keys, so each column's duplicate entries are summed
+in site order whatever the sort algorithm; the blocks of a larger kernel
+are built on worker threads of this process.
 
 `stationary` has one route per kernel size, both in this process.  A
 kernel of at least 2^14 states (_LUMP_MIN_STATES) is lumped onto the
@@ -37,7 +39,6 @@ thread pool only for a kernel of several blocks.
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -76,19 +77,19 @@ _MAX_VERTICES = 30  # states and kernel indices are int32
 # trivial group), and 4 B of headroom for the build's blocks in flight, so
 # no kernel refused by the whole-matrix build (16 B of COO + 12 B of CSR
 # per entry) is accepted.  The threaded build holds the kernel's 12 B per
-# entry, a scratch triple for each worker, and at most two block CSRs for
-# each worker plus the one being copied; none of these grows with the kernel
+# entry, one block's keys and decoded entries on each worker, and at most
+# two block CSRs for each worker plus the one being copied; none of these
+# grows with the kernel
 _BYTES_PER_ENTRY = 28
-# most COO entries in one row block (4 MiB of scratch, 3 MiB of block CSR).
-# On a 2-vCPU Xeon guest, with two worker threads, the bench's `exhaustive`
-# workload peaked at 247-248 MB with blocks of 2^16 entries, 254-255 MB
-# with 2^17 and 265-269 MB with 2^18, while its traced build took
-# 0.54-0.69 s, 0.47-0.56 s and 0.49-0.61 s and its pass 0.80-0.85 s,
-# 0.67-0.80 s and 0.66-0.76 s.  In ten alternating pairs of processes,
-# cycle:16 then torus2d:4x4 built in a median 0.577 s at 2^17 against
-# 0.566 s at 2^18 (cycle:16 alone 0.111 s against 0.100 s): smaller blocks
-# lower the peak but cost more per-block overhead than the build can spare
-_BLOCK_ENTRIES = 1 << 18
+# most slots in one row block; a block is max(1, _BLOCK_ENTRIES // slots
+# per row) rows.  At 393,216 slots (1.5 MiB of int32 keys, about 196k
+# entries), cycle:12, with 96 slots in each of 4096 rows, is the largest
+# cycle built as one block, with no thread.  On a 2-vCPU Xeon guest,
+# cycle:16 then torus2d:4x4 built in 0.04-0.05 s and 0.15-0.16 s either
+# way at 393,216 and at 2^19 slots, but the process peaked at 242-244 MB
+# against 247-253 MB (and 273-278 MB at 2^20): freed block arrays stay in
+# the worker threads' malloc arenas, in proportion to the block size
+_BLOCK_ENTRIES = 3 << 17
 _TAIL_FLOOR = 1e-14  # smallest tail mass used by the geometric fit
 # smallest kernel, in states, that `stationary` solves on the state orbits
 # of the graph's automorphism group.  On a 2-vCPU Xeon guest the lumped
@@ -140,41 +141,57 @@ def _kernel_entries(g: Graph, allones: str) -> int:
     return (1 << (n - 1)) * sum(outcomes) + ones_row
 
 
-def _block_csr(pats, allones: str, zero_counts: np.ndarray, a: int, b: int, scratch) -> sp.csr_matrix:
+def _block_csr(sites, weights, zero_counts, a: int, b: int, allones: str) -> sp.csr_matrix:
     """Rows [a, b) of the kernel as a (b - a) x 2^n CSR matrix.
 
-    The COO triplets are filled into the scratch arrays in the order of a
-    whole-matrix build: site by site, then the all-ones row, which is the
-    only row with no zero.
+    Every row has the same slots: site v's 2^|N[v]| resample outcomes,
+    laid out site by site.  `sites` holds each site's clear mask and slot
+    count, and each slot's key, target << shift | slot; `weights` holds
+    the slots' probabilities.  A row fills the slots of its zero sites
+    with the key column << shift | slot, and its other slots with the
+    dtype maximum.  One in-row sort of these unique keys puts the row in
+    column order, each column's duplicates in site order whatever the
+    sort algorithm, and `sum_duplicates` adds them left to right.  An
+    entry is its slot's weight times 1 / zero count; the all-ones row, the
+    only row with no zero, resamples every site with weight / n
+    (resample) or is one self-loop of 1 (frozen).
     """
     import scipy.sparse as sp  # slow to import; only the kernel paths need it
 
-    rows, cols, vals = scratch
-    n, size = len(pats), len(zero_counts)
-    block = np.arange(a, b, dtype=np.int32)
-    at = 0
-    for v, (clear, targets, weights) in enumerate(pats):
-        v_zero = ((block >> v) & 1) == 0
-        src = block[v_zero]
-        share = 1.0 / zero_counts[a:b][v_zero]
-        shape = (len(src), len(targets))
-        end = at + shape[0] * shape[1]
-        rows[at:end].reshape(shape)[...] = (src - a)[:, None]
-        np.bitwise_or((src & ~clear)[:, None], targets, out=cols[at:end].reshape(shape))
-        np.multiply(share[:, None], weights, out=vals[at:end].reshape(shape))
-        at = end
-    ones_state = size - 1
+    clears, sizes, slot_keys = sites
+    n, size, width = len(sizes), len(zero_counts), len(weights)
+    shift = (width - 1).bit_length()
+    empty = np.iinfo(slot_keys.dtype).max
+    block = np.arange(a, b, dtype=slot_keys.dtype)[:, None]
+    # one bits, as (rows, sites): the sites whose slots the row leaves empty
+    ones = (block >> np.arange(n, dtype=block.dtype)) & 1
     if b == size and allones == "resample":
-        for clear, targets, weights in pats:
-            end = at + len(targets)
-            rows[at:end] = ones_state - a
-            np.bitwise_or(ones_state & ~clear, targets, out=cols[at:end])
-            np.divide(weights, n, out=vals[at:end])
-            at = end
-    elif b == size:
-        rows[at], cols[at], vals[at] = ones_state - a, ones_state, 1.0
-        at += 1
-    return sp.coo_matrix((vals[:at], (rows[:at], cols[:at])), shape=(b - a, size)).tocsr()
+        ones[-1] = 0
+    counts = ((1 - ones) @ sizes).astype(np.int32)
+    # the empty key's low bits are all ones, so OR-ing it in empties a slot
+    keys = np.repeat(((block & ~clears) << shift) | (ones * empty), sizes, axis=1)
+    keys |= slot_keys
+    keys.sort(axis=1)
+    kept = keys[keys != empty]
+    del keys
+    data = weights[kept & ((1 << shift) - 1)]
+    with_zero = b - a - (b == size)
+    share = np.repeat(1.0 / zero_counts[a : a + with_zero], counts[:with_zero])
+    data[: len(share)] *= share
+    data[len(share) :] /= n
+    kept >>= shift
+    indices = kept.astype(np.int32, copy=False)
+    if b == size and allones == "frozen":
+        indices, data = np.append(indices, np.int32(size - 1)), np.append(data, 1.0)
+        counts[-1] = 1
+    indptr = np.zeros(b - a + 1, np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    part = _csr((b - a, size), indptr, indices, data)
+    # sorted, but not yet summed: sum_duplicates then neither checks nor sorts
+    part.has_canonical_format = False
+    part.has_sorted_indices = True
+    part.sum_duplicates()
+    return part
 
 
 def _append(out, nnz: int, row: int, indptr, indices, data) -> int:
@@ -209,20 +226,24 @@ def build_kernel(
 ) -> TransitionModel:
     """Assemble the sparse embedded kernel for all 2^n states.
 
-    Rows are assembled in blocks of at most _BLOCK_ENTRIES COO entries (or
-    one row, if a row holds more).  Each block is filled into an
-    int32/int32/float64 scratch triple and converted to CSR; a kernel of
-    one block is that CSR.  The blocks of a larger kernel are converted on
-    min(CPUs in the affinity set, blocks) worker threads of this process,
-    each with a scratch triple of its own (scipy's conversion releases the
-    GIL), at most two blocks per worker ahead of the caller, which copies
-    each finished block into kernel arrays allocated once at the COO
-    length, in row order.  The conversion sorts and sums each row on its
-    own, so the kernel is the same bits as one whole-matrix conversion and
-    is made of private arrays.  An error in a worker is raised by the
-    call, after every worker has stopped.  The build refuses to start when
-    28 B per COO entry exceed physical memory: 12 B of kernel, the blocks
-    in flight, and another 12 B for the transpose that `stationary`'s power
+    Every row has the same slots: one per resample outcome of each site,
+    laid out site by site.  Rows are assembled in blocks of
+    max(1, _BLOCK_ENTRIES // slots per row) rows, each by `_block_csr`: a
+    key column << shift | slot in each slot of a zero site (the all-ones
+    row resamples every site), one `sort` of each row's unique keys, and
+    a sum of each column's duplicates left to right, so in site order.
+    The kernel's bits therefore depend on neither the sort algorithm nor
+    the block size.  Keys are int32 while n + shift <= 30 and int64 past
+    that.  A kernel of one block is that block's CSR.  The blocks of a
+    larger kernel are built on min(CPUs in the affinity set, blocks)
+    worker threads of this process (numpy's sort and scipy's duplicate
+    sum release the GIL), at most two blocks per worker ahead of the
+    caller, which copies each finished block into kernel arrays allocated
+    once at the COO length, in row order, so the kernel is made of
+    private arrays.  An error in a worker is raised by the call, after
+    every worker has stopped.  The build refuses to start when 28 B per
+    COO entry exceed physical memory: 12 B of kernel, the blocks in
+    flight, and another 12 B for the transpose that `stationary`'s power
     loop makes.
     """
     n = g.num_vertices
@@ -242,55 +263,43 @@ def build_kernel(
         )
     size = 1 << n
     ones_state = size - 1
-    states = np.arange(size, dtype=np.int32)
-    zero_counts = n - np.bitwise_count(states)
-    pats = [_nbhd_patterns(g, params, v) for v in range(n)]
+    zero_counts = n - np.bitwise_count(np.arange(size, dtype=np.int32))
+    clears, targets, weights = zip(*(_nbhd_patterns(g, params, v) for v in range(n)))
+    sizes = np.array([len(t) for t in targets])
+    width = int(sizes.sum())  # slots per row
+    shift = (width - 1).bit_length()
+    # a key column << shift | slot stays below the dtype maximum, the empty slot
+    dtype = np.int32 if n + shift <= 30 else np.int64
+    slot_keys = (np.concatenate(targets).astype(dtype) << shift) | np.arange(width, dtype=dtype)
+    sites = (np.array(clears, dtype), sizes, slot_keys)
+    weights = np.concatenate(weights)
+    rows = max(1, _BLOCK_ENTRIES // width)
+    blocks = [(a, min(a + rows, size)) for a in range(0, size, rows)]
 
-    # starts[r]: COO entries of the rows before r
-    row_entries = np.zeros(size, dtype=np.int64)
-    for v, (_, targets, _) in enumerate(pats):
-        row_entries[((states >> v) & 1) == 0] += len(targets)
-    row_entries[ones_state] = entries - row_entries[:ones_state].sum()
-    starts = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(row_entries, out=starts[1:])
-    bounds = [0]
-    while bounds[-1] < size:
-        a = bounds[-1]
-        b = int(np.searchsorted(starts, starts[a] + _BLOCK_ENTRIES, side="right")) - 1
-        bounds.append(max(a + 1, b))
-    cap = int(np.diff(starts[bounds]).max())
-
-    def scratch():
-        return np.empty(cap, np.int32), np.empty(cap, np.int32), np.empty(cap, np.float64)
-
-    if len(bounds) == 2:
-        kernel = _block_csr(pats, allones, zero_counts, 0, size, scratch())
+    if len(blocks) == 1:
+        kernel = _block_csr(sites, weights, zero_counts, 0, size, allones)
     else:
         from concurrent.futures import ThreadPoolExecutor  # only a kernel of several blocks needs it
 
-        blocks = list(zip(bounds, bounds[1:]))
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = min(cpus, len(blocks))
-        own = threading.local()
-
-        def convert(a: int, b: int) -> sp.csr_matrix:
-            if not hasattr(own, "scratch"):
-                own.scratch = scratch()
-            return _block_csr(pats, allones, zero_counts, a, b, own.scratch)
-
         idx = np.int32 if entries <= np.iinfo(np.int32).max else np.int64
         out = (np.zeros(size + 1, idx), np.empty(entries, idx), np.empty(entries, np.float64))
         nnz = 0
         pool = ThreadPoolExecutor(workers)
+
+        def submit(a: int, b: int):
+            return pool.submit(_block_csr, sites, weights, zero_counts, a, b, allones)
+
         try:
-            # blocks are converted at most two per worker ahead of the copy,
-            # so that finished block CSRs cannot pile up
+            # blocks are built at most two per worker ahead of the copy, so
+            # that finished block CSRs cannot pile up
             ahead = 2 * workers
-            pending = deque(pool.submit(convert, a, b) for a, b in blocks[:ahead])
+            pending = deque(submit(a, b) for a, b in blocks[:ahead])
             for i, (a, _) in enumerate(blocks):
                 part = pending.popleft().result()
                 if i + ahead < len(blocks):
-                    pending.append(pool.submit(convert, *blocks[i + ahead]))
+                    pending.append(submit(*blocks[i + ahead]))
                 nnz = _append(out, nnz, a, part.indptr, part.indices, part.data)
                 del part  # before a later block's CSR is allocated
         finally:

@@ -294,9 +294,11 @@ def dense_transition_t(tm, t: float) -> np.ndarray:
 
 
 def kernel_oracle(g, params, allones: str = "resample") -> TransitionModel:
-    """The embedded kernel from per-site int64 COO pieces, concatenated and
-    converted by `coo_matrix`: the reference for `build_kernel`'s int32
-    fill of preallocated arrays."""
+    """The embedded kernel from per-site int64 COO triplets, without scipy's
+    conversion: the triplets are concatenated site by site (then the
+    all-ones row), put in (row, column) order by a stable `np.lexsort`, and
+    each run of equal (row, column) is summed by a left fold, so duplicates
+    add in site order."""
     n = g.num_vertices
     size = 1 << n
     states = np.arange(size, dtype=np.int64)
@@ -328,10 +330,18 @@ def kernel_oracle(g, params, allones: str = "resample") -> TransitionModel:
         rows.append(np.array([ones_state], dtype=np.int64))
         cols.append(np.array([ones_state], dtype=np.int64))
         vals.append(np.array([1.0]))
-    kernel = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    lengths = np.diff(np.r_[starts, len(rows)])
+    data = vals[starts].copy()
+    for k in range(1, int(lengths.max())):
+        more = lengths > k
+        data[more] += vals[starts[more] + k]
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[starts], minlength=size), out=indptr[1:])
+    kernel = sp.csr_matrix((data, cols[starts].astype(np.int32), indptr), shape=(size, size))
     exit_rates = zero_counts.astype(np.float64)
     exit_rates[ones_state] = float(n) if allones == "resample" else 0.0
     return TransitionModel(g, params, allones, kernel, exit_rates)

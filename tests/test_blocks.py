@@ -24,6 +24,7 @@ from bslab.blocks import (
     block4_ring_pattern_sufficient,
     blocks_separated,
     chain_to_percolation,
+    coupling_check,
     required_goods,
     ring_count,
     sample_block2_stats,
@@ -35,6 +36,7 @@ from bslab.bounds import block2_nice_lb, hat_L, stick_good_lb, theta_4block, til
 from bslab.dynamics import (
     GraphicalConstruction,
     ModelParams,
+    replay,
     sample_graphical,
     sample_graphical_batch,
 )
@@ -812,3 +814,52 @@ def test_nice_spec_cache_holds_every_block_of_a_long_chain():
     info = _nice_spec.cache_info()
     assert info.hits > 0
     assert info.misses == len(chain) - 1
+
+
+# the coupling claim on cycle:24 over a 22-site chain, hat_L windows and six
+# levels: each case must check at least COUPLING_MIN_CLAIMS claims (a floor
+# fixed before the run; 0 violations is vacuous without it)
+COUPLING_MIN_CLAIMS = 1000
+
+
+@pytest.mark.parametrize("p", [0.03, 0.05])
+def test_two_block_coupling_holds_on_one_realization(p):
+    """Nice two-blocks carry zeros up the strip: every site reachable from
+    the level-0 sites with both ends zero has both ends zero at the end of
+    its window.  Dropping the goodness demands from the niceness event
+    gives thousands of violations at these p."""
+    g = parse_graph_spec("cycle:24")
+    rep = coupling_check(g, tuple(range(22)), ModelParams(p=p), hat_L(p, 2), 6, 1000, 7)
+    assert rep.claims >= COUPLING_MIN_CLAIMS
+    assert rep.violations == 0 and rep.first_violation is None
+    assert 0 < rep.reached_top <= 1000
+
+
+def test_coupling_check_counts_violations_of_an_all_open_field(monkeypatch):
+    """With every cell taken as nice the strip is all open, and zeros do
+    not keep up with it: violations are counted, and the first one is a
+    site whose ends are not both zero in that sample's own replay."""
+    monkeypatch.setattr(blocks, "_block_is_nice", lambda g, gc, block: True)
+    g, chain, params, L = generate("cycle", 12), tuple(range(10)), ModelParams(p=0.3), 1.0
+    rep = coupling_check(g, chain, params, L, 3, 20, 5)
+    assert 0 < rep.violations <= rep.claims
+    assert rep.reached_top > 0
+    s, k, m = rep.first_violation
+    gc = list(sample_graphical_batch(g, params, 4 * L, 20, 5))[s]
+    top = replay(g, np.zeros(12, np.uint8), gc, [(k + 1) * L], collect_log=False).snapshots[0]
+    assert 1 in (top[chain[m]], top[chain[m + 1]])
+
+
+def test_coupling_check_validation():
+    g = generate("cycle", 12)
+    params = ModelParams(p=0.05)
+    with pytest.raises(ValueError, match="flavor"):
+        coupling_check(g, tuple(range(10)), params, 1.0, 2, 2, 1, flavor="six_block")
+    with pytest.raises(ValueError, match="level"):
+        coupling_check(g, tuple(range(10)), params, 1.0, 0, 2, 1)
+    with pytest.raises(ValueError, match="too short"):
+        coupling_check(g, (0, 1, 2), params, 1.0, 2, 2, 1)
+    with pytest.raises(ValueError, match="horizon"):
+        coupling_check(g, tuple(range(10)), params, 0.0, 2, 2, 1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        coupling_check(g, tuple(range(10)), params, 1.0, 2, 2, 1, config0=np.full(12, 2))

@@ -76,6 +76,42 @@ def test_row_blocked_kernel_solves_to_the_same_bits(monkeypatch):
     assert sd.residual == ref.residual
 
 
+def test_duplicates_sum_in_site_order():
+    """path:5 at p = 0.3: state 6 has sites 0, 3 and 4 zero, and each of
+    them resamples its neighbourhood to its current bits with
+    probability (1/3) * weight.  The self-loop is the fold of the three
+    terms in site order, which differs in its last bit from the reversed
+    fold."""
+    params = ModelParams(p=0.3)
+    p, q, share = params.p, params.q, 1.0 / 3
+    t0 = share * ((1.0 * q) * p)  # N[0] = (0, 1): bits 0, 1
+    t3 = share * (((1.0 * p) * q) * q)  # N[3] = (2, 3, 4): bits 1, 0, 0
+    t4 = share * ((1.0 * q) * q)  # N[4] = (3, 4): bits 0, 0
+    site_order = (t0 + t3) + t4
+    assert site_order != (t4 + t3) + t0
+    kernel = build_kernel(parse_graph_spec("path:5"), params).kernel
+    assert kernel[6, 6] == site_order
+
+
+@pytest.mark.parametrize("allones", ALLONES)
+def test_int64_keys_give_the_int32_kernel(monkeypatch, allones):
+    """Keys are int64 once n + shift passes 30 bits, past any kernel this
+    suite can hold: every block of cycle:10, rebuilt from int64 slot keys,
+    is the block that the int32 keys give."""
+    calls = []
+    block_csr = exact._block_csr
+    monkeypatch.setattr(exact, "_block_csr", lambda *args: calls.append(args) or block_csr(*args))
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 4096)
+    build_kernel(parse_graph_spec("cycle:10"), ModelParams(p=0.3), allones=allones)
+    assert len(calls) > 1 and calls[0][0][2].dtype == np.int32
+    for (clears, sizes, keys), *rest in calls:
+        want = block_csr((clears, sizes, keys), *rest)
+        got = block_csr((clears.astype(np.int64), sizes, keys.astype(np.int64)), *rest)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
 def test_row_blocked_build_peaks_below_sixteen_bytes_per_entry(monkeypatch):
     """The whole-matrix build held 16 B of COO and 12 B of CSR per entry at
     once (28.4 B traced); blocked, the kernel's 12 B and small blocks stay."""

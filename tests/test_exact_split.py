@@ -1,6 +1,6 @@
 """The threaded build of exact.build_kernel: row blocks converted on worker
-threads of this process make the same bits as the whole-matrix
-conversion, in private arrays; an error on a worker is the call's error,
+threads of this process make the same bits as the stable-sort
+reference, in private arrays; an error on a worker is the call's error,
 raised after every worker has stopped; and a kernel built so solves to the
 bits of the pi @ P reference in this process, without a fork."""
 import os
@@ -24,7 +24,7 @@ ALLONES = ["resample", "frozen"]
 
 @pytest.fixture
 def converters(monkeypatch):
-    """Build every kernel in blocks of at most 64 COO entries on four
+    """Build every kernel in blocks of at most 64 slots on four
     worker threads, more than this host may have CPUs, with the thread
     switch interval shortened; the list collects the ident of the thread
     that converts each block."""
